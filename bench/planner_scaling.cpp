@@ -184,7 +184,7 @@ int main(int argc, char** argv) {
         std::vector<double> legacy_times;
         std::vector<double> flat_warm_times;
         std::vector<double> legacy_warm_times;
-        static volatile size_t sink;  // Keeps materializations observable.
+        [[maybe_unused]] static volatile size_t sink;  // Keeps materializations observable.
         using clock = std::chrono::steady_clock;
         for (int r = 0; r < reps + 1; ++r) {
           const auto t0 = clock::now();

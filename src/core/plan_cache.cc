@@ -154,9 +154,16 @@ PlanCacheKey ComputePlanCacheKey(const PlanRequest& request) {
   ZCHECK(request.batch != nullptr && request.cost_model != nullptr &&
          request.fabric != nullptr)
       << "ComputePlanCacheKey on an incomplete request";
+  return ComputePlanCacheKey(request, DigestCostModel(*request.cost_model),
+                             DigestFabric(*request.fabric));
+}
+
+PlanCacheKey ComputePlanCacheKey(const PlanRequest& request, uint64_t cost_digest,
+                                 uint64_t fabric_digest) {
+  ZCHECK(request.batch != nullptr) << "ComputePlanCacheKey on an incomplete request";
   PlanCacheKey key;
-  key.cost_digest = DigestCostModel(*request.cost_model);
-  key.fabric_digest = DigestFabric(*request.fabric);
+  key.cost_digest = cost_digest;
+  key.fabric_digest = fabric_digest;
   key.batch_sig = CanonicalBatchSignature(*request.batch);
   key.options_sig = OptionsSignature(request.options);
   return key;
@@ -210,10 +217,11 @@ PlanResponse PlanCache::Plan(const PlanRequest& request) {
     FillCounters(&response.stats);
     return response;
   }
-  if (std::optional<PlanResponse> served = TryServe(request)) {
+  const PlanCacheKey key = ComputePlanCacheKey(request);
+  if (std::optional<PlanResponse> served = TryServe(request, key)) {
     return *std::move(served);
   }
-  return PlanAndInsert(request);
+  return PlanAndInsert(request, key);
 }
 
 std::shared_ptr<const PartitionPlan> PlanCache::RemapPlan(
@@ -259,10 +267,17 @@ std::optional<PlanResponse> PlanCache::TryServe(const PlanRequest& request) {
   if (!Cacheable(request)) {
     return std::nullopt;
   }
-  // Covers the whole probe: key derivation, the LRU lookup, the digest
-  // check, and (rarely) the remap tier + its certification.
+  return TryServe(request, ComputePlanCacheKey(request));
+}
+
+std::optional<PlanResponse> PlanCache::TryServe(const PlanRequest& request,
+                                                const PlanCacheKey& key) {
+  if (!Cacheable(request)) {
+    return std::nullopt;
+  }
+  // Covers the whole probe: the LRU lookup, the digest check, and (rarely)
+  // the remap tier + its certification.
   obs::TraceScope lookup_span(obs::Stage::kCacheLookup);
-  const PlanCacheKey key = ComputePlanCacheKey(request);
   std::shared_ptr<const PartitionPlan> stored;
   PlanStats stored_stats;
   uint64_t stored_digest = 0;
@@ -419,7 +434,13 @@ PlanResponse PlanCache::PlanAndInsert(const PlanRequest& request) {
   if (!Cacheable(request)) {
     return Plan(request);
   }
-  const PlanCacheKey key = ComputePlanCacheKey(request);
+  return PlanAndInsert(request, ComputePlanCacheKey(request));
+}
+
+PlanResponse PlanCache::PlanAndInsert(const PlanRequest& request, const PlanCacheKey& key) {
+  if (!Cacheable(request)) {
+    return Plan(request);
+  }
   const bool family_eligible = options_.near_match &&
                                request.options.hierarchical_partitioning &&
                                request.options.planner_fast_path;

@@ -98,6 +98,11 @@ uint64_t CanonicalBatchSignature(const Batch& batch);
 uint64_t BatchBucketSignature(const Batch& batch);
 // The full key for a request (ZCHECKs batch/cost_model/fabric non-null).
 PlanCacheKey ComputePlanCacheKey(const PlanRequest& request);
+// The same key when the caller already holds DigestCostModel / DigestFabric
+// of the request's cost model and fabric — a daemon's never change, so it
+// digests them once instead of per request.
+PlanCacheKey ComputePlanCacheKey(const PlanRequest& request, uint64_t cost_digest,
+                                 uint64_t fabric_digest);
 
 class PlanCache {
  public:
@@ -121,6 +126,12 @@ class PlanCache {
   // Plans through the service (near-match family patch when possible, full
   // plan otherwise) and inserts the result into the exact tier.
   PlanResponse PlanAndInsert(const PlanRequest& request);
+
+  // The same two steps with the request's key computed once by the caller
+  // (`key` must be ComputePlanCacheKey(request)), so a miss derives it once
+  // for the lookup and the insert.
+  std::optional<PlanResponse> TryServe(const PlanRequest& request, const PlanCacheKey& key);
+  PlanResponse PlanAndInsert(const PlanRequest& request, const PlanCacheKey& key);
 
   PlanCacheCounters counters() const;
   size_t size() const;

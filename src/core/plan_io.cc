@@ -4,57 +4,13 @@
 #include <cstring>
 #include <limits>
 
+#include "src/common/byte_io.h"
+#include "src/common/check.h"
+
 namespace zeppelin {
 namespace {
 
-// Little-endian fixed-width writers. The format is defined byte-wise, so the
-// encoder never relies on host struct layout or endianness.
-void PutU32(std::string* out, uint32_t v) {
-  char b[4];
-  for (int i = 0; i < 4; ++i) {
-    b[i] = static_cast<char>((v >> (8 * i)) & 0xff);
-  }
-  out->append(b, 4);
-}
-
-void PutU64(std::string* out, uint64_t v) {
-  char b[8];
-  for (int i = 0; i < 8; ++i) {
-    b[i] = static_cast<char>((v >> (8 * i)) & 0xff);
-  }
-  out->append(b, 8);
-}
-
-void PutI32(std::string* out, int32_t v) { PutU32(out, static_cast<uint32_t>(v)); }
-void PutI64(std::string* out, int64_t v) { PutU64(out, static_cast<uint64_t>(v)); }
-
-// Cursor-based reader; every Get* checks the remaining length first, so a
-// truncated input can never read past the end.
-struct Reader {
-  const unsigned char* data;
-  size_t size;
-  size_t pos = 0;
-
-  bool Have(size_t n) const { return size - pos >= n; }
-  uint32_t GetU32() {
-    uint32_t v = 0;
-    for (int i = 0; i < 4; ++i) {
-      v |= static_cast<uint32_t>(data[pos + i]) << (8 * i);
-    }
-    pos += 4;
-    return v;
-  }
-  uint64_t GetU64() {
-    uint64_t v = 0;
-    for (int i = 0; i < 8; ++i) {
-      v |= static_cast<uint64_t>(data[pos + i]) << (8 * i);
-    }
-    pos += 8;
-    return v;
-  }
-  int32_t GetI32() { return static_cast<int32_t>(GetU32()); }
-  int64_t GetI64() { return static_cast<int64_t>(GetU64()); }
-};
+static_assert(sizeof(int) == 4, "rank_arena entries are encoded as i32");
 
 // Per-record wire sizes (see docs/PLAN_FORMAT.md, "Wire format").
 constexpr size_t kRingRecordBytes = 4 + 8 + 4 + 4 + 4;  // seq_id, length, zone, offset, count.
@@ -92,53 +48,55 @@ const char* PlanIoStatusName(PlanIoStatus status) {
 }
 
 std::string SerializePlan(const PartitionPlan& plan) {
-  std::string out;
-  out.reserve(kPreambleBytes + kCountsBytes + 8 +
-              kRingRecordBytes * (plan.inter_node.size() + plan.intra_node.size()) +
-              kLocalRecordBytes * plan.local.size() + 4 * plan.rank_arena.size() +
-              8 * (plan.tokens_per_rank.size() + plan.threshold_s0.size()) + kTrailerBytes);
+  return SerializePlan(plan, plan.StateDigest());
+}
 
-  out.append(kPlanMagic, 4);
-  PutU32(&out, kPlanFormatVersion);
-  PutU64(&out, plan.inter_node.size());
-  PutU64(&out, plan.intra_node.size());
-  PutU64(&out, plan.local.size());
-  PutU64(&out, plan.rank_arena.size());
-  PutU64(&out, plan.tokens_per_rank.size());
-  PutU64(&out, plan.threshold_s0.size());
-  PutI64(&out, plan.threshold_s1);
+std::string SerializePlan(const PartitionPlan& plan, uint64_t digest) {
+  const size_t size = kPreambleBytes + kCountsBytes + 8 +
+                      kRingRecordBytes * (plan.inter_node.size() + plan.intra_node.size()) +
+                      kLocalRecordBytes * plan.local.size() + 4 * plan.rank_arena.size() +
+                      8 * (plan.tokens_per_rank.size() + plan.threshold_s0.size()) +
+                      kTrailerBytes;
+  std::string out(size, '\0');
+  ByteWriter w(out.data());
+  w.PutBytes(kPlanMagic, 4);
+  w.Put<uint32_t>(kPlanFormatVersion);
+  w.Put<uint64_t>(plan.inter_node.size());
+  w.Put<uint64_t>(plan.intra_node.size());
+  w.Put<uint64_t>(plan.local.size());
+  w.Put<uint64_t>(plan.rank_arena.size());
+  w.Put<uint64_t>(plan.tokens_per_rank.size());
+  w.Put<uint64_t>(plan.threshold_s0.size());
+  w.Put<int64_t>(plan.threshold_s1);
 
-  auto put_queue = [&out](const std::vector<RingRef>& queue) {
+  // Records are packed (24 / 16 bytes) while the structs are padded, so they
+  // go field by field; the homogeneous sections below are single copies.
+  auto put_queue = [&w](const std::vector<RingRef>& queue) {
     for (const RingRef& ring : queue) {
-      PutI32(&out, ring.seq_id);
-      PutI64(&out, ring.length);
-      PutU32(&out, static_cast<uint32_t>(ring.zone));
-      PutU32(&out, ring.rank_offset);
-      PutU32(&out, ring.rank_count);
+      w.Put<int32_t>(ring.seq_id);
+      w.Put<int64_t>(ring.length);
+      w.Put<uint32_t>(static_cast<uint32_t>(ring.zone));
+      w.Put<uint32_t>(ring.rank_offset);
+      w.Put<uint32_t>(ring.rank_count);
     }
   };
   put_queue(plan.inter_node);
   put_queue(plan.intra_node);
   for (const LocalSequence& seq : plan.local) {
-    PutI32(&out, seq.seq_id);
-    PutI64(&out, seq.length);
-    PutI32(&out, seq.rank);
+    w.Put<int32_t>(seq.seq_id);
+    w.Put<int64_t>(seq.length);
+    w.Put<int32_t>(seq.rank);
   }
-  for (int rank : plan.rank_arena) {
-    PutI32(&out, rank);
-  }
-  for (int64_t tokens : plan.tokens_per_rank) {
-    PutI64(&out, tokens);
-  }
-  for (int64_t s0 : plan.threshold_s0) {
-    PutI64(&out, s0);
-  }
-  PutU64(&out, plan.StateDigest());
+  w.PutArray(plan.rank_arena.data(), plan.rank_arena.size());
+  w.PutArray(plan.tokens_per_rank.data(), plan.tokens_per_rank.size());
+  w.PutArray(plan.threshold_s0.data(), plan.threshold_s0.size());
+  w.Put<uint64_t>(digest);
+  ZCHECK(w.pos() == out.data() + out.size()) << "plan encoder size mismatch";
   return out;
 }
 
 PlanIoResult ParsePlan(std::string_view bytes, PartitionPlan* plan, int max_world) {
-  Reader in{reinterpret_cast<const unsigned char*>(bytes.data()), bytes.size()};
+  ByteReader in{bytes.data(), bytes.size()};
   if (!in.Have(kPreambleBytes)) {
     return Fail(PlanIoStatus::kTruncated, "input shorter than the preamble");
   }
@@ -146,7 +104,7 @@ PlanIoResult ParsePlan(std::string_view bytes, PartitionPlan* plan, int max_worl
     return Fail(PlanIoStatus::kBadMagic, "input does not start with the ZPLN magic");
   }
   in.pos += 4;
-  const uint32_t version = in.GetU32();
+  const uint32_t version = in.Get<uint32_t>();
   if (version != kPlanFormatVersion) {
     return Fail(PlanIoStatus::kBadVersion,
                 "unsupported plan format version " + std::to_string(version) + " (expected " +
@@ -155,13 +113,13 @@ PlanIoResult ParsePlan(std::string_view bytes, PartitionPlan* plan, int max_worl
   if (!in.Have(kCountsBytes + 8)) {
     return Fail(PlanIoStatus::kTruncated, "input ends inside the section counts");
   }
-  const uint64_t inter_count = in.GetU64();
-  const uint64_t intra_count = in.GetU64();
-  const uint64_t local_count = in.GetU64();
-  const uint64_t arena_count = in.GetU64();
-  const uint64_t tokens_count = in.GetU64();
-  const uint64_t s0_count = in.GetU64();
-  const int64_t threshold_s1 = in.GetI64();
+  const uint64_t inter_count = in.Get<uint64_t>();
+  const uint64_t intra_count = in.Get<uint64_t>();
+  const uint64_t local_count = in.Get<uint64_t>();
+  const uint64_t arena_count = in.Get<uint64_t>();
+  const uint64_t tokens_count = in.Get<uint64_t>();
+  const uint64_t s0_count = in.Get<uint64_t>();
+  const int64_t threshold_s1 = in.Get<int64_t>();
 
   // Rank-universe gate: a structurally valid, digest-authentic plan for a
   // *bigger* fabric must still be refused before any rank of it reaches the
@@ -205,17 +163,17 @@ PlanIoResult ParsePlan(std::string_view bytes, PartitionPlan* plan, int max_worl
                                       const char* name) -> PlanIoResult {
     queue->resize(count);
     for (RingRef& ring : *queue) {
-      ring.seq_id = in.GetI32();
-      ring.length = in.GetI64();
-      const uint32_t zone = in.GetU32();
+      ring.seq_id = in.Get<int32_t>();
+      ring.length = in.Get<int64_t>();
+      const uint32_t zone = in.Get<uint32_t>();
       if (zone > static_cast<uint32_t>(Zone::kInterNode)) {
         return Fail(PlanIoStatus::kCorrupt,
                     std::string(name) + " header carries unknown zone tag " +
                         std::to_string(zone));
       }
       ring.zone = static_cast<Zone>(zone);
-      ring.rank_offset = in.GetU32();
-      ring.rank_count = in.GetU32();
+      ring.rank_offset = in.Get<uint32_t>();
+      ring.rank_count = in.Get<uint32_t>();
       if (static_cast<uint64_t>(ring.rank_offset) + ring.rank_count > arena_count) {
         return Fail(PlanIoStatus::kCorrupt, std::string(name) + " header span [" +
                                                 std::to_string(ring.rank_offset) + ", +" +
@@ -245,34 +203,32 @@ PlanIoResult ParsePlan(std::string_view bytes, PartitionPlan* plan, int max_worl
   };
   plan->local.resize(local_count);
   for (LocalSequence& seq : plan->local) {
-    seq.seq_id = in.GetI32();
-    seq.length = in.GetI64();
-    seq.rank = in.GetI32();
+    seq.seq_id = in.Get<int32_t>();
+    seq.length = in.Get<int64_t>();
+    seq.rank = in.Get<int32_t>();
     if (!rank_in_bounds(seq.rank)) {
       return Fail(PlanIoStatus::kCorrupt, "local sequence rank " + std::to_string(seq.rank) +
                                               " outside the plan's " +
                                               std::to_string(tokens_count) + "-rank universe");
     }
   }
+  // The homogeneous sections arrive as single copies; the arena is then
+  // range-checked in one pass.
   plan->rank_arena.resize(arena_count);
-  for (int& rank : plan->rank_arena) {
-    rank = in.GetI32();
+  in.GetArray(plan->rank_arena.data(), arena_count);
+  plan->tokens_per_rank.resize(tokens_count);
+  in.GetArray(plan->tokens_per_rank.data(), tokens_count);
+  plan->threshold_s0.resize(s0_count);
+  in.GetArray(plan->threshold_s0.data(), s0_count);
+  for (int rank : plan->rank_arena) {
     if (!rank_in_bounds(rank)) {
       return Fail(PlanIoStatus::kCorrupt, "arena rank " + std::to_string(rank) +
                                               " outside the plan's " +
                                               std::to_string(tokens_count) + "-rank universe");
     }
   }
-  plan->tokens_per_rank.resize(tokens_count);
-  for (int64_t& tokens : plan->tokens_per_rank) {
-    tokens = in.GetI64();
-  }
-  plan->threshold_s0.resize(s0_count);
-  for (int64_t& s0 : plan->threshold_s0) {
-    s0 = in.GetI64();
-  }
 
-  const uint64_t stored_digest = in.GetU64();
+  const uint64_t stored_digest = in.Get<uint64_t>();
   const uint64_t actual_digest = plan->StateDigest();
   if (stored_digest != actual_digest) {
     return Fail(PlanIoStatus::kDigestMismatch, "decoded plan digests to a different value than "

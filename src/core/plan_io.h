@@ -73,6 +73,13 @@ struct PlanIoResult {
 // free-listed slack) has exactly one encoding.
 std::string SerializePlan(const PartitionPlan& plan);
 
+// Same bytes, with the trailer taken from the caller instead of recomputed:
+// `digest` must be `plan.StateDigest()` — e.g. PlanResponse::digest, or the
+// digest a cache hit just checked. Serving paths use this form so a request
+// pays for one digest per process hop; the receiver's ParsePlan still
+// recomputes and checks it.
+std::string SerializePlan(const PartitionPlan& plan, uint64_t digest);
+
 // Decodes `bytes` into `*plan`. On failure `*plan` is left in an
 // unspecified-but-valid state and the result carries the reason; on success
 // the decoded plan is byte-identical to the serialized one. `max_world` > 0

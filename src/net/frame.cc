@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cstring>
 
+#include "src/common/byte_io.h"
+
 namespace zeppelin {
 namespace net {
 
@@ -25,15 +27,18 @@ const char* FrameStatusName(FrameStatus status) {
 }
 
 void AppendFrame(FrameType type, std::string_view payload, std::string* out) {
-  out->reserve(out->size() + kFrameHeaderBytes + payload.size());
-  out->append(kFrameMagic, 4);
-  out->push_back(static_cast<char>(type));
-  out->append(3, '\0');
-  const uint32_t len = static_cast<uint32_t>(payload.size());
-  for (int i = 0; i < 4; ++i) {
-    out->push_back(static_cast<char>((len >> (8 * i)) & 0xff));
-  }
-  out->append(payload.data(), payload.size());
+  ByteWriter(ReserveFrame(type, payload.size(), out)).PutBytes(payload.data(), payload.size());
+}
+
+char* ReserveFrame(FrameType type, size_t payload_size, std::string* out) {
+  const size_t start = out->size();
+  out->resize(start + kFrameHeaderBytes + payload_size);
+  ByteWriter w(out->data() + start);
+  w.PutBytes(kFrameMagic, 4);
+  w.Put<uint8_t>(static_cast<uint8_t>(type));
+  w.PutBytes("\0\0\0", 3);
+  w.Put<uint32_t>(static_cast<uint32_t>(payload_size));
+  return w.pos();
 }
 
 FrameDecoder::FrameDecoder(uint32_t max_frame_bytes)
@@ -81,9 +86,7 @@ FrameStatus FrameDecoder::Next(Frame* frame) {
     return error_ = FrameStatus::kBadReserved;
   }
   uint32_t payload_len = 0;
-  for (int i = 0; i < 4; ++i) {
-    payload_len |= static_cast<uint32_t>(head[8 + i]) << (8 * i);
-  }
+  std::memcpy(&payload_len, head + 8, sizeof(payload_len));
   // The length field is attacker-controlled: cap it before it can drive any
   // buffering or allocation decision.
   if (payload_len > max_frame_bytes_) {

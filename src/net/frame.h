@@ -62,6 +62,12 @@ struct Frame {
 // responsible for keeping payloads under the peer's frame cap.
 void AppendFrame(FrameType type, std::string_view payload, std::string* out);
 
+// Appends the header of a frame carrying `payload_size` bytes and grows
+// `*out` by that many more; returns where the payload starts, for the caller
+// to fill with exactly `payload_size` bytes. Lets an encoder write a message
+// straight into its frame instead of copying a finished payload in.
+char* ReserveFrame(FrameType type, size_t payload_size, std::string* out);
+
 // Incremental frame decoder over a TCP byte stream. Feed() raw bytes in any
 // chunking; Next() yields complete frames until kIncomplete. Any framing
 // violation poisons the decoder permanently: further Next() calls return the

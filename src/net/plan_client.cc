@@ -219,6 +219,12 @@ PlanClientResult PlanClient::Attempt(const WireRequest& request) {
     result.message = "response id mismatch";
     return result;
   }
+  if (response.status == WireStatus::kMalformedFrame ||
+      response.status == WireStatus::kOversizedFrame) {
+    // The daemon ends the connection after a framing error; the next request
+    // must reconnect rather than write into a closing socket.
+    Close();
+  }
   result.status = response.status;
   result.message = std::move(response.message);
   result.stats = response.stats;

@@ -35,7 +35,11 @@ int64_t NowUs() {
 }
 
 std::string SessionKey(uint64_t conn_id, const std::string& stream_id) {
-  return "c" + std::to_string(conn_id) + "/" + stream_id;
+  std::string key = "c";
+  key += std::to_string(conn_id);
+  key += '/';
+  key += stream_id;
+  return key;
 }
 
 bool SendAll(int fd, const std::string& bytes) {
@@ -52,6 +56,49 @@ bool SendAll(int fd, const std::string& bytes) {
     sent += static_cast<size_t>(n);
   }
   return true;
+}
+
+// Bounds on the lingering close below: long enough for a peer to finish
+// sending one hard-capped frame over a datacenter link, short enough that a
+// peer which never stops sending cannot hold its connection slot.
+constexpr auto kLingerTime = std::chrono::seconds(2);
+constexpr size_t kLingerBytes = kFrameHardCap;
+
+// Closes a connection the daemon rejected without destroying the typed error
+// it just sent. A plain close() with unread input makes the kernel answer
+// with RST, and the peer — typically still sending the rejected frame — then
+// sees ECONNRESET instead of reading the error. So: send FIN after the
+// queued error (SHUT_WR), read and discard whatever the peer still sends
+// until it closes its side, the deadline passes, or the byte budget is
+// spent, and only then leave the socket to be closed.
+void LingeringClose(int fd) {
+  ::shutdown(fd, SHUT_WR);
+  const auto deadline = Clock::now() + kLingerTime;
+  char buf[16384];
+  size_t discarded = 0;
+  while (discarded < kLingerBytes) {
+    const auto left =
+        std::chrono::duration_cast<std::chrono::milliseconds>(deadline - Clock::now());
+    if (left.count() <= 0) {
+      break;
+    }
+    pollfd pfd{fd, POLLIN, 0};
+    const int ready = ::poll(&pfd, 1, static_cast<int>(left.count()));
+    if (ready < 0 && errno == EINTR) {
+      continue;
+    }
+    if (ready <= 0) {
+      break;
+    }
+    const ssize_t n = ::recv(fd, buf, sizeof(buf), 0);
+    if (n < 0 && errno == EINTR) {
+      continue;
+    }
+    if (n <= 0) {
+      break;  // The peer closed its side (or the socket failed): done.
+    }
+    discarded += static_cast<size_t>(n);
+  }
 }
 
 }  // namespace
@@ -320,6 +367,8 @@ PlannerDaemon::PlannerDaemon(const TransformerConfig& model, const ClusterSpec& 
       logical_cluster_(ApplyTensorParallelism(cluster, options.tensor_parallel)),
       fabric_(logical_cluster_),
       cost_model_(model, logical_cluster_, options.tensor_parallel),
+      cost_digest_(DigestCostModel(cost_model_)),
+      fabric_digest_(DigestFabric(fabric_)),
       options_(options) {
   options_.max_frame_bytes = std::min(options_.max_frame_bytes, kFrameHardCap);
   service_ = std::make_unique<PlannerService>(
@@ -595,6 +644,8 @@ void PlannerDaemon::ReaperLoop() {
 void PlannerDaemon::ServeConnection(const std::shared_ptr<Connection>& conn) {
   FrameDecoder decoder(options_.max_frame_bytes);
   std::vector<char> buf(64 << 10);
+  // Set when the daemon itself ends the connection after a protocol error;
+  // EOF, socket errors and Stop() end the loop without it.
   bool close_conn = false;
   while (!close_conn && !stopping_.load()) {
     const ssize_t n = ::recv(conn->fd, buf.data(), buf.size(), 0);
@@ -624,6 +675,9 @@ void PlannerDaemon::ServeConnection(const std::shared_ptr<Connection>& conn) {
                 std::string("framing error: ") + FrameStatusName(status));
       close_conn = true;
     }
+  }
+  if (close_conn && !stopping_.load()) {
+    LingeringClose(conn->fd);
   }
   ReapSessions(*conn);
   ::shutdown(conn->fd, SHUT_RDWR);
@@ -672,8 +726,13 @@ void PlannerDaemon::SendError(Connection& conn, uint64_t request_id, WireStatus 
 bool PlannerDaemon::HandleFrame(Connection& conn, const Frame& frame) {
   const auto received = Clock::now();
   if (frame.type != FrameType::kRequest) {
+    // Clients never send response frames: the peer is desynced. One typed
+    // error frame, then close — the same rule as a framing violation.
     c_malformed_frames_->Inc();
-    return false;  // Clients never send response frames; desynced peer.
+    SendError(conn, 0, WireStatus::kMalformedFrame,
+              std::string("unexpected frame type ") +
+                  std::to_string(static_cast<int>(frame.type)) + " from a client");
+    return false;
   }
   // One stack-allocated trace per request, bound to this reader thread for
   // the request's whole lifetime: every TraceScope below — including the
@@ -785,21 +844,29 @@ void PlannerDaemon::HandlePlan(Connection& conn, WireRequest& request,
   // permit: no planning happens, so a hit costs no planner capacity — and a
   // permit-free path keeps repeated responses byte-identical (zero queue
   // wait) under any load. TryServe drops + replans poisoned entries itself.
+  // One cache key per request: derived here, reused by the insert on a miss.
+  PlanCacheKey cache_key;
   if (!is_session && cache_ != nullptr) {
     PlanRequest probe;
     probe.batch = &request.batch;
     probe.cost_model = &cost_model_;
     probe.fabric = &fabric_;
     probe.options = request.options;
-    if (std::optional<PlanResponse> served = cache_->TryServe(probe)) {
+    {
+      obs::TraceScope key_span(obs::Stage::kCacheLookup);
+      cache_key = ComputePlanCacheKey(probe, cost_digest_, fabric_digest_);
+    }
+    if (std::optional<PlanResponse> served = cache_->TryServe(probe, cache_key)) {
       WireResponse response;
       response.request_id = request.request_id;
       response.stats = served->stats;
       response.queue_wait_us = 0;
       response.digest = served->digest;
       {
+        // TryServe digested the plan it returns: an exact hit checked it
+        // against the stored digest, a remapped hit computed it fresh.
         obs::TraceScope encode_span(obs::Stage::kEncode);
-        response.plan_bytes = SerializePlan(*served->plan);
+        response.plan_bytes = SerializePlan(*served->plan, served->digest);
       }
       c_requests_ok_->Inc();
       SendResponse(conn, response);
@@ -870,7 +937,7 @@ void PlannerDaemon::HandlePlan(Connection& conn, WireRequest& request,
     }
   }
   PlanResponse planned = !is_session && cache_ != nullptr
-                             ? cache_->PlanAndInsert(plan_request)
+                             ? cache_->PlanAndInsert(plan_request, cache_key)
                              : service_->Plan(plan_request);
   gate_->Release();
 
@@ -919,8 +986,9 @@ void PlannerDaemon::HandlePlan(Connection& conn, WireRequest& request,
   response.queue_wait_us = queue_wait_us;
   response.digest = planned.digest;
   {
+    // The service digested this immutable plan when it produced it.
     obs::TraceScope encode_span(obs::Stage::kEncode);
-    response.plan_bytes = SerializePlan(*planned.plan);
+    response.plan_bytes = SerializePlan(*planned.plan, planned.digest);
   }
   // Overlay the daemon-side stages (queue wait, decode, validate, encode —
   // plus plan/materialize/verify recorded by the layers below) onto the

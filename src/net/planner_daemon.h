@@ -104,7 +104,7 @@ struct DaemonOptions {
   // Non-empty: drain every request's stage spans into a Chrome-trace JSON
   // file at this path (written on Stop; Perfetto-loadable). Empty disables
   // the sink; the per-stage histograms stay on either way.
-  std::string trace_out;
+  std::string trace_out = {};
   // > 0: requests whose total handling latency crosses this threshold enter
   // the typed, rate-limited slow-request log (obs::SlowRequestLog). 0
   // disables it.
@@ -207,6 +207,10 @@ class PlannerDaemon {
   ClusterSpec logical_cluster_;
   FabricResources fabric_;
   CostModel cost_model_;
+  // DigestCostModel / DigestFabric of the two above. Neither changes after
+  // construction, so every cache key reuses them instead of rehashing.
+  uint64_t cost_digest_;
+  uint64_t fabric_digest_;
   DaemonOptions options_;
   // Declared before everything that holds instrument pointers into it.
   obs::MetricsRegistry metrics_;

@@ -12,6 +12,7 @@
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <unistd.h>
 
 #include <atomic>
@@ -100,6 +101,28 @@ bool WaitFor(const std::function<bool()>& cond, int timeout_ms = 3000) {
     std::this_thread::sleep_for(std::chrono::milliseconds(5));
   }
   return cond();
+}
+
+// A plain blocking TCP connection to the daemon, for tests that must speak
+// raw (possibly malformed) bytes. Receives time out after 5 s instead of
+// hanging the test.
+int ConnectRaw(int port) {
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  if (fd < 0) {
+    return -1;
+  }
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(static_cast<uint16_t>(port));
+  ::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
+  if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
+    ::close(fd);
+    return -1;
+  }
+  timeval timeout{};
+  timeout.tv_sec = 5;
+  ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof(timeout));
+  return fd;
 }
 
 TEST(PlannerDaemonTest, StatelessByteIdentityAcrossEngines) {
@@ -228,23 +251,100 @@ TEST(PlannerDaemonTest, OversizedFrameTypedRejection) {
   EXPECT_EQ(rejected.status, WireStatus::kOversizedFrame) << rejected.message;
   EXPECT_EQ(rig.daemon.counters().malformed_frames, 1u);
 
-  // The daemon closed that connection; a fresh (stateless, hence retryable)
-  // request transparently reconnects and succeeds.
+  // The daemon closed that connection and the client dropped its side on
+  // reading the framing error, so the next request reconnects at once.
   WireRequest good;
   good.batch = SampleBatch(64, 1);
   const PlanClientResult ok = client.Plan(std::move(good));
   ASSERT_TRUE(ok.ok()) << ok.message;
+  EXPECT_EQ(ok.attempts, 1);
+}
+
+TEST(PlannerDaemonTest, ResponseFrameFromClientGetsTypedErrorThenClose) {
+  // Clients only send request frames; anything else means the peer is
+  // desynced. The daemon answers with one typed error frame, then closes.
+  DaemonRig rig;
+  const int fd = ConnectRaw(rig.daemon.port());
+  ASSERT_GE(fd, 0);
+  std::string out;
+  AppendFrame(FrameType::kResponse, "not from a client", &out);
+  ASSERT_EQ(::send(fd, out.data(), out.size(), 0), static_cast<ssize_t>(out.size()));
+  std::string received;
+  char buf[4096];
+  ssize_t n;
+  while ((n = ::recv(fd, buf, sizeof(buf), 0)) > 0) {
+    received.append(buf, static_cast<size_t>(n));
+  }
+  EXPECT_EQ(n, 0) << std::strerror(errno);
+  ::close(fd);
+  FrameDecoder decoder(kDefaultMaxFrameBytes);
+  decoder.Feed(received);
+  Frame reply;
+  ASSERT_EQ(decoder.Next(&reply), FrameStatus::kOk);
+  WireResponse response;
+  std::string error;
+  ASSERT_EQ(ParseResponse(reply.type, reply.payload, &response, &error), WireStatus::kOk)
+      << error;
+  EXPECT_EQ(response.status, WireStatus::kMalformedFrame);
+  EXPECT_EQ(rig.daemon.counters().malformed_frames, 1u);
+}
+
+TEST(PlannerDaemonTest, OversizedFrameRejectionSurvivesUnreadInput) {
+  // The peer is still sending its oversized frame when the daemon rejects
+  // it, and reads the reply only afterwards. Closing a socket with unread
+  // input makes the kernel send RST: the rest of the peer's frame would then
+  // fail to send and its read would end in ECONNRESET instead of the typed
+  // error. The daemon must discard the input and close cleanly instead.
+  DaemonRig rig(DaemonOptions{.max_frame_bytes = 4096});
+  const int fd = ConnectRaw(rig.daemon.port());
+  ASSERT_GE(fd, 0);
+  std::string frame;
+  AppendFrame(FrameType::kRequest, std::string(1 << 20, 'p'), &frame);
+  auto send_range = [fd, &frame](size_t begin, size_t end) {
+    while (begin < end) {
+      const ssize_t n = ::send(fd, frame.data() + begin, end - begin, MSG_NOSIGNAL);
+      if (n <= 0) {
+        return false;
+      }
+      begin += static_cast<size_t>(n);
+    }
+    return true;
+  };
+  const size_t head = kFrameHeaderBytes + (64 << 10);
+  ASSERT_TRUE(send_range(0, head));
+  ASSERT_TRUE(WaitFor([&] { return rig.daemon.counters().malformed_frames == 1; }));
+  // Several reaper periods: a daemon that closed on the unread input has
+  // reset the connection by now.
+  std::this_thread::sleep_for(std::chrono::milliseconds(200));
+  ASSERT_TRUE(send_range(head, frame.size()))
+      << "the daemon reset the connection: " << std::strerror(errno);
+  ::shutdown(fd, SHUT_WR);
+
+  std::string received;
+  char buf[16384];
+  ssize_t n;
+  while ((n = ::recv(fd, buf, sizeof(buf), 0)) > 0) {
+    received.append(buf, static_cast<size_t>(n));
+  }
+  EXPECT_EQ(n, 0) << "connection did not end in a clean close: " << std::strerror(errno);
+  ::close(fd);
+  FrameDecoder decoder(kDefaultMaxFrameBytes);
+  decoder.Feed(received);
+  Frame reply;
+  ASSERT_EQ(decoder.Next(&reply), FrameStatus::kOk);
+  WireResponse response;
+  std::string error;
+  ASSERT_EQ(ParseResponse(reply.type, reply.payload, &response, &error), WireStatus::kOk)
+      << error;
+  EXPECT_EQ(response.status, WireStatus::kOversizedFrame);
+  EXPECT_EQ(decoder.Next(&reply), FrameStatus::kIncomplete);  // Nothing else.
+  EXPECT_EQ(rig.daemon.counters().malformed_frames, 1u);
 }
 
 TEST(PlannerDaemonTest, MalformedRequestKeepsConnection) {
   DaemonRig rig;
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  const int fd = ConnectRaw(rig.daemon.port());
   ASSERT_GE(fd, 0);
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(static_cast<uint16_t>(rig.daemon.port()));
-  ASSERT_EQ(::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr), 1);
-  ASSERT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)), 0);
 
   // A well-framed kRequest whose payload is garbage: typed kMalformedRequest,
   // connection stays up (framing is still in sync).
@@ -674,8 +774,9 @@ TEST(PlannerDaemonTest, StageBreakdownOnWireAndZeroedOnCacheHit) {
 }
 
 TEST(PlannerDaemonTest, TraceOutCoversRequestStages) {
-  const std::string trace_path =
-      ::testing::TempDir() + "/planner_daemon_trace.json";
+  // Unique per process: concurrent runs of this binary must not share it.
+  const std::string trace_path = ::testing::TempDir() + "/planner_daemon_trace." +
+                                 std::to_string(::getpid()) + ".json";
   {
     DaemonRig rig(DaemonOptions{.trace_out = trace_path});
     PlanClient client = rig.Client();

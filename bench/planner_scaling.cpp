@@ -1,49 +1,32 @@
 // Planner-scaling bench: per-iteration Plan() cost of the hierarchical
-// partitioner — reference greedy vs PR-1 heap fast path vs the
-// parallel/sharded engine across thread counts.
+// partitioner — the reference greedy vs the sharded production engine.
 //
 // The paper's premise (§3.1) is that two-level sequence partitioning is cheap
 // enough to run every iteration on the global batch. This harness sweeps the
 // batch size S and the cluster size P over the Table 2 length distributions
 // and times ZeppelinStrategy::Plan() (surfaced as partition_time_us) per
-// engine: the reference linear-scan greedy ("naive", the seed algorithm), the
-// heap-based O((S + P) log P) serial fast path (PR-1, the baseline the
-// parallel speedup is measured against), and the sharded engine at
-// num_planner_threads in {1, 2, 4, 8}. Every plan of every arm is verified
-// bit-identical at every point — the determinism contract of partitioner.h.
+// engine: the reference linear-scan greedy ("naive", the seed algorithm) and
+// the production engine. Both plans are verified bit-identical at every
+// point — the determinism contract of partitioner.h.
 //
-// Each point also isolates the *materialization* cost of the plan
-// representation: the time to build the final plan's ring storage from its
-// decisions. `materialize_time_us` measures the flat rank-arena form (three
-// allocations + bulk copies regardless of ring count);
-// `legacy_materialize_time_us` builds the same rings as the pre-arena
-// representation (one std::vector<int> per ring, the PR-2 RingSequence
-// layout) — one allocation per ring, the ~1 ms floor at S=64k that the
-// arena removes. materialize_speedup = legacy / flat. The *_warm_* variants
-// repeat both with cursor-recycled destinations (the planners' steady-state
-// emission discipline), isolating the pure layout effect.
+// Each point also times the *materialization* cost of the flat plan layout:
+// building a fresh plan's ring storage (headers + rank arena) from the
+// production plan, which is a fixed three allocations plus bulk copies
+// regardless of ring count — what any plan copy pays.
 //
 // Output: a human-readable table plus machine-readable BENCH_planner.json:
 //   { "bench": "planner_scaling", "model": ..., "cluster": ...,
-//     "quick": bool, "reps": int, "threads": [1, 2, 4, 8],
+//     "quick": bool, "reps": int,
 //     "points": [ { "dataset", "num_seqs", "gpus", "total_tokens",
-//                   "naive_partition_time_us", "fast_partition_time_us",
-//                   "speedup",
-//                   "parallel": [ { "threads", "parallel_partition_time_us",
-//                                   "parallel_speedup", "plans_identical" } ],
-//                   "materialize_time_us", "legacy_materialize_time_us",
-//                   "materialize_speedup", "materialize_warm_time_us",
-//                   "legacy_materialize_warm_time_us", "plans_identical" } ],
+//                   "naive_partition_time_us", "partition_time_us",
+//                   "speedup", "materialize_time_us", "plans_identical" } ],
 //     "all_plans_identical": bool }
 // Times are the median over `reps` interleaved repetitions after one untimed
-// warmup (noise-robust and fair to every arm). parallel_speedup compares the
-// sharded engine against the PR-1 serial fast path on the same point.
+// warmup (noise-robust and fair to both arms). speedup = naive / production.
 #include <algorithm>
 #include <chrono>
-#include <memory>
 
 #include "bench/bench_util.h"
-#include "src/common/flags.h"
 #include "src/common/rng.h"
 #include "src/common/table.h"
 #include "src/model/transformer.h"
@@ -52,24 +35,15 @@
 int main(int argc, char** argv) {
   using namespace zeppelin;
   const bool quick = bench::QuickMode(argc, argv);
-  const Flags flags(argc, argv);
   const int reps = quick ? 1 : 7;
   const std::vector<int> seq_counts = quick ? std::vector<int>{1024}
                                             : std::vector<int>{1024, 4096, 16384, 65536};
   const std::vector<int> gpu_counts = quick ? std::vector<int>{16, 64}
                                             : std::vector<int>{16, 64, 256, 512};
-  // Thread sweep for the sharded engine; --threads=N caps it (e.g. for a
-  // quick look at one setting), "--threads=auto" caps at the hardware.
-  std::vector<int> thread_counts = {1, 2, 4, 8};
-  const int max_threads = flags.GetThreadCount("threads", thread_counts.back());
-  while (thread_counts.size() > 1 && thread_counts.back() > max_threads) {
-    thread_counts.pop_back();
-  }
 
-  bench::PrintHeader("Planner scaling — naive vs fast path vs sharded engine (3B, Cluster A)");
-  Table table({"dataset", "seqs", "GPUs", "naive us", "fast us", "par@1 us",
-               "par@" + std::to_string(thread_counts.back()) + " us", "par/fast", "mat us",
-               "mat x", "identical"});
+  bench::PrintHeader("Planner scaling — naive vs production engine (3B, Cluster A)");
+  Table table({"dataset", "seqs", "GPUs", "naive us", "plan us", "speedup", "mat us",
+               "identical"});
 
   bench::JsonEmitter json;
   json.BeginObject();
@@ -83,12 +57,6 @@ int main(int argc, char** argv) {
   json.Value(quick);
   json.Key("reps");
   json.Value(reps);
-  json.Key("threads");
-  json.BeginArray();
-  for (int t : thread_counts) {
-    json.Value(t);
-  }
-  json.EndArray();
   json.Key("points");
   json.BeginArray();
 
@@ -117,73 +85,28 @@ int main(int argc, char** argv) {
         ZeppelinOptions naive_opts;
         naive_opts.planner_fast_path = false;
         ZeppelinStrategy naive(naive_opts);
-        // num_planner_threads = 0 pins the PR-1 serial fast path (the
-        // baseline); >= 1 runs the sharded engine on that many contexts.
-        ZeppelinOptions fast_opts;
-        fast_opts.num_planner_threads = 0;
-        ZeppelinStrategy fast(fast_opts);
-        std::vector<std::unique_ptr<ZeppelinStrategy>> parallel;
-        for (int t : thread_counts) {
-          ZeppelinOptions par_opts;
-          par_opts.num_planner_threads = t;
-          parallel.push_back(std::make_unique<ZeppelinStrategy>(par_opts));
-        }
+        ZeppelinStrategy production;
 
         std::vector<double> naive_times;
-        std::vector<double> fast_times;
-        std::vector<std::vector<double>> parallel_times(thread_counts.size());
+        std::vector<double> times;
         for (int r = 0; r < reps + 1; ++r) {
           naive.Plan(batch, trainer.cost_model(), trainer.fabric());
-          fast.Plan(batch, trainer.cost_model(), trainer.fabric());
-          for (auto& arm : parallel) {
-            arm->Plan(batch, trainer.cost_model(), trainer.fabric());
-          }
+          production.Plan(batch, trainer.cost_model(), trainer.fabric());
           if (r == 0) {
-            continue;  // Warmup: every arm grows its buffers untimed.
+            continue;  // Warmup: both arms grow their buffers untimed.
           }
           naive_times.push_back(naive.partition_time_us());
-          fast_times.push_back(fast.partition_time_us());
-          for (size_t t = 0; t < parallel.size(); ++t) {
-            parallel_times[t].push_back(parallel[t]->partition_time_us());
-          }
+          times.push_back(production.partition_time_us());
         }
         const double naive_us = median(naive_times);
-        const double fast_us = median(fast_times);
-        const double speedup = fast_us > 0 ? naive_us / fast_us : 0;
-
-        bool point_identical = naive.partition_plan() == fast.partition_plan();
-        std::vector<double> par_us(parallel.size());
-        std::vector<bool> par_identical(parallel.size());
-        for (size_t t = 0; t < parallel.size(); ++t) {
-          par_us[t] = median(parallel_times[t]);
-          par_identical[t] = parallel[t]->partition_plan() == naive.partition_plan();
-          point_identical = point_identical && par_identical[t];
-        }
+        const double plan_us = median(times);
+        const double speedup = plan_us > 0 ? naive_us / plan_us : 0;
+        const bool point_identical = naive.partition_plan() == production.partition_plan();
         all_identical = all_identical && point_identical;
 
-        // Materialization microbench: the cost of building the final plan's
-        // ring storage, flat rank-arena layout vs the pre-arena per-ring
-        // std::vector<int> layout (PR-2's RingSequence), on identical plan
-        // data. Two regimes per layout:
-        //   fresh — from-scratch construction, what any plan copy / one-shot
-        //     Partition() / plan-holding consumer pays. The flat layout is a
-        //     fixed three allocations + bulk memcpys; the legacy layout pays
-        //     one allocation per ring (the ~1 ms floor the arena removes).
-        //     materialize_speedup compares these.
-        //   warm — cursor-recycled destinations (the planners' steady-state
-        //     emission discipline): the residual delta is pure memory layout
-        //     (bulk copies vs scattered per-ring writes).
-        // The legacy arm materializes into the real owning RingSequence type
-        // (kept in partitioner.h for external producers) — exactly the
-        // pre-arena per-ring layout.
-        const PartitionPlan& src = fast.partition_plan();
-        PartitionPlan flat_dst;
-        std::vector<RingSequence> legacy;
-        size_t legacy_count = 0;
-        std::vector<double> flat_times;
-        std::vector<double> legacy_times;
-        std::vector<double> flat_warm_times;
-        std::vector<double> legacy_warm_times;
+        // Materialization: a from-scratch copy of the plan's ring storage.
+        const PartitionPlan& src = production.partition_plan();
+        std::vector<double> mat_times;
         [[maybe_unused]] static volatile size_t sink;  // Keeps materializations observable.
         using clock = std::chrono::steady_clock;
         for (int r = 0; r < reps + 1; ++r) {
@@ -196,67 +119,16 @@ int main(int argc, char** argv) {
             sink = fresh.rank_arena.size();
           }
           const auto t1 = clock::now();
-          {
-            std::vector<RingSequence> fresh;
-            fresh.reserve(src.inter_node.size() + src.intra_node.size());
-            auto emit = [&](RingView ring) {
-              fresh.push_back({ring.seq_id, ring.length, ring.zone,
-                               std::vector<int>(ring.ranks.begin(), ring.ranks.end())});
-            };
-            for (RingView ring : src.rings(src.inter_node)) {
-              emit(ring);
-            }
-            for (RingView ring : src.rings(src.intra_node)) {
-              emit(ring);
-            }
-            sink = fresh.size();
+          if (r > 0) {
+            mat_times.push_back(std::chrono::duration<double, std::micro>(t1 - t0).count());
           }
-          const auto t2 = clock::now();
-          flat_dst.inter_node = src.inter_node;
-          flat_dst.intra_node = src.intra_node;
-          flat_dst.rank_arena = src.rank_arena;
-          sink = flat_dst.rank_arena.size();
-          const auto t3 = clock::now();
-          legacy_count = 0;
-          auto emit_warm = [&](RingView ring) {
-            if (legacy_count == legacy.size()) {
-              legacy.emplace_back();
-            }
-            RingSequence& slot = legacy[legacy_count++];
-            slot.seq_id = ring.seq_id;
-            slot.length = ring.length;
-            slot.zone = ring.zone;
-            slot.ranks.assign(ring.ranks.begin(), ring.ranks.end());
-          };
-          for (RingView ring : src.rings(src.inter_node)) {
-            emit_warm(ring);
-          }
-          for (RingView ring : src.rings(src.intra_node)) {
-            emit_warm(ring);
-          }
-          sink = legacy_count;
-          const auto t4 = clock::now();
-          if (r == 0) {
-            continue;  // Warmup: warm destinations grow to steady state.
-          }
-          flat_times.push_back(std::chrono::duration<double, std::micro>(t1 - t0).count());
-          legacy_times.push_back(std::chrono::duration<double, std::micro>(t2 - t1).count());
-          flat_warm_times.push_back(std::chrono::duration<double, std::micro>(t3 - t2).count());
-          legacy_warm_times.push_back(std::chrono::duration<double, std::micro>(t4 - t3).count());
         }
-        const double mat_us = median(flat_times);
-        const double legacy_mat_us = median(legacy_times);
-        const double mat_warm_us = median(flat_warm_times);
-        const double legacy_mat_warm_us = median(legacy_warm_times);
-        const double mat_speedup = mat_us > 0 ? legacy_mat_us / mat_us : 0;
+        const double mat_us = median(mat_times);
 
         table.AddRow({dist.name(), Table::Cell(static_cast<int64_t>(num_seqs)),
                       Table::Cell(static_cast<int64_t>(gpus)), Table::Cell(naive_us, 1),
-                      Table::Cell(fast_us, 1), Table::Cell(par_us.front(), 1),
-                      Table::Cell(par_us.back(), 1),
-                      Table::Cell(par_us.back() > 0 ? fast_us / par_us.back() : 0, 2) + "x",
-                      Table::Cell(mat_us, 1), Table::Cell(mat_speedup, 1) + "x",
-                      point_identical ? "yes" : "NO"});
+                      Table::Cell(plan_us, 1), Table::Cell(speedup, 2) + "x",
+                      Table::Cell(mat_us, 1), point_identical ? "yes" : "NO"});
 
         json.BeginObject();
         json.Key("dataset");
@@ -269,35 +141,12 @@ int main(int argc, char** argv) {
         json.Value(batch.total_tokens());
         json.Key("naive_partition_time_us");
         json.Value(naive_us);
-        json.Key("fast_partition_time_us");
-        json.Value(fast_us);
+        json.Key("partition_time_us");
+        json.Value(plan_us);
         json.Key("speedup");
         json.Value(speedup);
-        json.Key("parallel");
-        json.BeginArray();
-        for (size_t t = 0; t < parallel.size(); ++t) {
-          json.BeginObject();
-          json.Key("threads");
-          json.Value(thread_counts[t]);
-          json.Key("parallel_partition_time_us");
-          json.Value(par_us[t]);
-          json.Key("parallel_speedup");
-          json.Value(par_us[t] > 0 ? fast_us / par_us[t] : 0);
-          json.Key("plans_identical");
-          json.Value(par_identical[t]);
-          json.EndObject();
-        }
-        json.EndArray();
         json.Key("materialize_time_us");
         json.Value(mat_us);
-        json.Key("legacy_materialize_time_us");
-        json.Value(legacy_mat_us);
-        json.Key("materialize_speedup");
-        json.Value(mat_speedup);
-        json.Key("materialize_warm_time_us");
-        json.Value(mat_warm_us);
-        json.Key("legacy_materialize_warm_time_us");
-        json.Value(legacy_mat_warm_us);
         json.Key("plans_identical");
         json.Value(point_identical);
         json.EndObject();
@@ -318,15 +167,12 @@ int main(int argc, char** argv) {
     return 1;
   }
   if (!all_identical) {
-    std::printf("ERROR: an engine's plan diverged from the naive reference\n");
+    std::printf("ERROR: the production plan diverged from the naive reference\n");
     return 1;
   }
   std::printf(
-      "Expected shape: fast/naive speedup grows with S and P; the sharded\n"
-      "engine wins most at large S (round-batched packing) and its thread\n"
-      "scaling shows on multicore hosts at the largest sweep points. The\n"
-      "materialization columns compare the flat rank-arena plan layout\n"
-      "against the legacy per-ring vector layout on identical plan data —\n"
-      "the arena's bulk copies should win by >= 2x at the largest points.\n");
+      "Expected shape: the production/naive speedup grows with S and P\n"
+      "(round-batched packing and incremental restarts against per-sequence\n"
+      "scans and whole-stage replays).\n");
   return 0;
 }

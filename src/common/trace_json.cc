@@ -1,6 +1,7 @@
 #include "src/common/trace_json.h"
 
 #include <cstdio>
+#include <iomanip>
 #include <sstream>
 
 namespace zeppelin {
@@ -48,6 +49,11 @@ void ChromeTraceWriter::NameThread(int pid, int tid, const std::string& name) {
 
 std::string ChromeTraceWriter::ToJson() const {
   std::ostringstream out;
+  // Timestamps are µs, and the daemon stamps them from a steady clock that
+  // counts from boot: the default 6 significant digits would print a day-old
+  // clock as 8.64e+10 and fold every request onto one instant. Fixed-point
+  // keeps sub-µs resolution at any magnitude.
+  out << std::fixed << std::setprecision(3);
   out << "[\n";
   bool first = true;
   for (const auto& tn : thread_names_) {

@@ -46,7 +46,6 @@ DeltaPlanner::DeltaPlanner(const ClusterSpec& cluster, DeltaPlannerOptions optio
                        .max_inter_threshold = options.max_inter_threshold,
                        .max_local_threshold = options.max_local_threshold,
                        .fast_path = options.fast_path,
-                       .pool = options.pool,
                    }) {
   cluster_.Validate();
   ZCHECK_GT(options_.token_capacity, 0);
@@ -101,13 +100,7 @@ void DeltaPlanner::RebaseInternal() {
       .max_inter_threshold = options_.max_inter_threshold,
       .max_local_threshold = options_.max_local_threshold,
       .fast_path = options_.fast_path,
-      .pool = options_.pool,
   });
-  // Shared pool (PlannerService): one pooled plan at a time, service-wide.
-  std::unique_lock<std::mutex> pool_lock;
-  if (options_.pool != nullptr && options_.pool_mutex != nullptr) {
-    pool_lock = std::unique_lock<std::mutex>(*options_.pool_mutex);
-  }
   partitioner_.Partition(batch_, &scratch_, &plan_);
   CaptureState();
 }
@@ -124,8 +117,8 @@ void DeltaPlanner::CaptureState() {
   }
   base_refined_ = plan_.threshold_s1 < s1_initial_;
 
-  // Inter-node chunk aggregates: the fast paths leave them in the scratch;
-  // the naive reference leaves per-node chunk lists instead.
+  // Inter-node chunk aggregates: the sharded engine leaves them in the
+  // scratch; the naive reference leaves per-node chunk lists instead.
   if (options_.fast_path) {
     chunk_whole_ = scratch_.node_chunk_whole;
     chunk_rem_ = scratch_.node_chunk_rem;

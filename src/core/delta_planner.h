@@ -59,7 +59,6 @@
 #define SRC_CORE_DELTA_PLANNER_H_
 
 #include <cstdint>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -98,12 +97,6 @@ struct DeltaPlannerOptions {
   int64_t migration_budget = 256;
   // Engine selection for full re-plans, as in SequencePartitioner::Options.
   bool fast_path = true;
-  ThreadPool* pool = nullptr;  // Non-owning; must outlive the planner.
-  // When the pool is shared with other planners (PlannerService hands every
-  // session the same pool), this mutex is locked around each pooled full
-  // re-plan — ThreadPool batches admit one caller at a time. Delta patches
-  // never touch the pool, so they never take it. Null = pool is exclusive.
-  std::mutex* pool_mutex = nullptr;
 };
 
 // Why the last Apply()/ApplyTopology() patched or fell back (also counted in
@@ -283,7 +276,7 @@ class DeltaPlanner {
   // Re-runs the intra-node stage (Alg. 2) for one dirty node over its member
   // list: evicts every member's plan entry, re-derives s0 from the pinned
   // capacity, re-fragments z1 and re-packs z0, and emits into recycled or
-  // tail arena spans. Mirrors SequencePartitioner::PartitionIntraNodeFast
+  // tail arena spans. Mirrors SequencePartitioner::PartitionIntraNodeSharded
   // (shared fragment math via partitioner_internal.h).
   void RepackNode(int node);
   // Elastic variant for degraded nodes: fragments and packs over the node's

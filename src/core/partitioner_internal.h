@@ -1,7 +1,8 @@
-// Helpers shared by the serial (partitioner.cc) and parallel
-// (partitioner_parallel.cc) planner engines. The chunk/fragment count math
-// lives here so the engines cannot drift apart — the bit-identical-plans
-// contract depends on every path computing these identically.
+// Helpers shared by the naive (partitioner.cc) and sharded
+// (partitioner_parallel.cc) planner engines and the delta planner. The
+// chunk/fragment count math lives here so the engines cannot drift apart —
+// the bit-identical-plans contract depends on every path computing these
+// identically.
 #ifndef SRC_CORE_PARTITIONER_INTERNAL_H_
 #define SRC_CORE_PARTITIONER_INTERNAL_H_
 
@@ -29,9 +30,10 @@ inline int IntraNodeFragmentCount(double len, double c_avg, int p) {
 
 // Records one inter-node chunk of `chunk` tokens on `node` in the aggregate
 // form the intra stage consumes: the sum of whole per-device shares
-// floor(chunk/p) and a histogram of remainders chunk % p. Both engines (and
-// the parallel re-label pass, via per-context partials) must encode chunks
-// identically or the bit-identical-plans contract breaks.
+// floor(chunk/p) and a histogram of remainders chunk % p. Every producer (the
+// sharded engine, its re-label pass, and the delta planner's capture of a
+// naive plan) must encode chunks identically or the bit-identical-plans
+// contract breaks.
 inline void RecordChunkAggregate(int node, int64_t chunk, int p, std::vector<int64_t>* whole,
                                  std::vector<int64_t>* rem) {
   const int64_t q = chunk / p;
@@ -42,7 +44,7 @@ inline void RecordChunkAggregate(int node, int64_t chunk, int p, std::vector<int
 // Expands `node`'s recorded chunk aggregates into the exact per-device base
 // loads (the inter-node chunk spreading of Alg. 2 lines 4-6): the share of a
 // chunk q*p + r on device d is q + (floor((d+1)r/p) - floor(dr/p)). Every
-// intra-stage consumer (serial fast, sharded, delta re-pack) must expand
+// intra-stage consumer (sharded engine, delta re-pack) must expand
 // identically.
 inline void ExpandChunkBase(const std::vector<int64_t>& whole, const std::vector<int64_t>& rem,
                             int node, int p, std::vector<int64_t>* out) {

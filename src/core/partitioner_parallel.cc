@@ -1,35 +1,31 @@
-// Parallel/sharded planner engine (see the header comment in partitioner.h).
+// Sharded planner engine, the production engine (see the header comment in
+// partitioner.h). It runs inline on the caller's thread.
 //
 // Layout of one Partition() call:
 //
-//   1. Key build + value radix sort (serial): sequences become packed
+//   1. Key build + value radix sort: sequences become packed
 //      ((kLenMask - len) << 20 | id) keys; sorting the values directly gives
 //      the length-descending, id-ascending order with zero gathers, and the
 //      granularity of the lengths (trailing zero bits shared by every length)
 //      narrows the digit range — quantized workloads sort in one pass.
-//   2. Inter-node stage (serial): Alg. 1. The z2 chunking reuses the
-//      LoadTracker (few, long sequences); the z01 packing runs through the
-//      round-batched GreedyPacker and emits each sequence's key straight into
-//      its node's list — the per-node lists ARE the shard handoff to stage 3.
-//      The decision stream is sequential on purpose: greedy list scheduling
-//      is P-complete, so an exact parallel z01 does not exist; batching, not
-//      threading, is what makes this stage cheap.
-//   3. Intra-node stage (parallel): Alg. 2 is independent per node — one pool
-//      task per node, per-context scratch slabs, results into per-node
-//      RingStores (node-local arena offsets). Static task ownership (node n
-//      on context n % T) keeps slab reuse deterministic.
-//   4. Merge (parallel over nodes): per-node results copy into the plan's
-//      flat arrays — locals, ring headers (offset-shifted), and arena slices
-//      (one memcpy per node) — at offsets computed from per-node counts, in
-//      node order. Byte-identical to the serial engines' append order at any
-//      thread count, with no per-ring allocation anywhere.
+//   2. Inter-node stage: Alg. 1. The z2 chunking uses the LoadTracker (few,
+//      long sequences); the z01 packing runs through the round-batched
+//      GreedyPacker and emits each sequence's key straight into its node's
+//      list — the per-node lists ARE the shard handoff to stage 3. Batching
+//      is what makes this stage cheap: greedy list scheduling is P-complete,
+//      so the decision stream itself is sequential.
+//   3. Intra-node stage: Alg. 2, node by node, into per-node RingStores
+//      (node-local arena offsets) through one reused scratch slab.
+//   4. Merge: per-node results copy into the plan's flat arrays — locals,
+//      ring headers (offset-shifted), and arena slices (one memcpy per node)
+//      — in node order, byte-identical to the naive engine's append order,
+//      with no per-ring allocation anywhere.
 #include <algorithm>
 #include <bit>
 #include <cstring>
 #include <numeric>
 
 #include "src/common/check.h"
-#include "src/common/thread_pool.h"
 #include "src/core/partitioner.h"
 #include "src/core/partitioner_internal.h"
 
@@ -123,7 +119,7 @@ int64_t BuildSortedKeys(const Batch& batch, PlannerScratch* s) {
 // --- Inter-node stage (Alg. 1), sharded engine --------------------------------
 
 void SequencePartitioner::PartitionInterNodeSharded(const Batch& batch, PartitionPlan* plan,
-                                                    PlannerScratch* s, ThreadPool* pool) const {
+                                                    PlannerScratch* s) const {
   const int num_nodes = cluster_.num_nodes;
   const int p = cluster_.gpus_per_node;
   const int64_t node_capacity = static_cast<int64_t>(p) * options_.token_capacity;
@@ -166,12 +162,12 @@ void SequencePartitioner::PartitionInterNodeSharded(const Batch& batch, Partitio
   };
 
   int restarts = 0;
-  // Incremental-restart shortcut, mirroring the serial fast path: when the
-  // aborted pass was pure z01 packing (empty z2) and every promoted sequence
-  // still chunks to k == 1 under the new s_avg, a full replay would place
-  // those very sequences on the very same nodes — so the restart only
-  // re-labels them (shard lists -> single-node z2 rings, read back from
-  // placed_node) and resumes where the aborted pass stopped.
+  // Incremental-restart shortcut: when the aborted pass was pure z01 packing
+  // (empty z2) and every promoted sequence still chunks to k == 1 under the
+  // new s_avg, a full replay would place those very sequences on the very
+  // same nodes — so the restart only re-labels them (shard lists ->
+  // single-node z2 rings, read back from placed_node) and resumes where the
+  // aborted pass stopped.
   int continue_from = -1;
   for (;;) {
     int z2_start = 0;
@@ -180,10 +176,7 @@ void SequencePartitioner::PartitionInterNodeSharded(const Batch& batch, Partitio
       // key order), chunk aggregates rebuild from zero (z2 was empty), and
       // the packer's loads carry over exactly. The aborted pass emitted no
       // rings, so header slot i and arena slice [i*p, (i+1)*p) are fully
-      // determined by the sequence index alone — the pool writes them into
-      // pre-reserved plan storage with no synchronization, and the plan
-      // bytes are thread-count-invariant; the chunk aggregates accumulate
-      // through per-context partials merged with order-free integer adds.
+      // determined by the sequence index alone.
       const size_t relabel_rings = static_cast<size_t>(continue_from);
       if (plan->intra_node.size() < relabel_rings) {
         plan->intra_node.resize(relabel_rings);
@@ -191,37 +184,19 @@ void SequencePartitioner::PartitionInterNodeSharded(const Batch& batch, Partitio
       if (plan->rank_arena.size() < relabel_rings * p) {
         plan->rank_arena.resize(relabel_rings * p);
       }
-      const int contexts = pool->num_contexts();
-      for (int c = 0; c < contexts; ++c) {
-        s->intra_slabs[c].relabel_whole.assign(num_nodes, 0);
-        s->intra_slabs[c].relabel_rem.assign(static_cast<size_t>(num_nodes) * p, 0);
-      }
-      pool->ParallelFor(continue_from, [&](int64_t begin, int64_t end, int context) {
-        IntraWorkerSlab& slab = s->intra_slabs[context];
-        for (int64_t i = begin; i < end; ++i) {
-          const uint64_t key = s->keys[i];
-          const int node = s->placed_node[i];
-          const int64_t len = KeyLen(key);
-          RingRef& ring = plan->intra_node[i];
-          ring.seq_id = KeyId(key);
-          ring.length = len;
-          ring.zone = Zone::kIntraNode;
-          ring.rank_offset = static_cast<uint32_t>(i) * static_cast<uint32_t>(p);
-          ring.rank_count = static_cast<uint32_t>(p);
-          std::memcpy(plan->rank_arena.data() + i * p, s->node_ranks[node].data(),
-                      sizeof(int) * p);
-          planner_internal::RecordChunkAggregate(node, len, p, &slab.relabel_whole,
-                                                 &slab.relabel_rem);
-        }
-      });
-      for (int c = 0; c < contexts; ++c) {
-        const IntraWorkerSlab& slab = s->intra_slabs[c];
-        for (int node = 0; node < num_nodes; ++node) {
-          s->node_chunk_whole[node] += slab.relabel_whole[node];
-        }
-        for (size_t r = 0; r < slab.relabel_rem.size(); ++r) {
-          s->node_chunk_rem[r] += slab.relabel_rem[r];
-        }
+      for (size_t i = 0; i < relabel_rings; ++i) {
+        const uint64_t key = s->keys[i];
+        const int node = s->placed_node[i];
+        const int64_t len = KeyLen(key);
+        RingRef& ring = plan->intra_node[i];
+        ring.seq_id = KeyId(key);
+        ring.length = len;
+        ring.zone = Zone::kIntraNode;
+        ring.rank_offset = static_cast<uint32_t>(i) * static_cast<uint32_t>(p);
+        ring.rank_count = static_cast<uint32_t>(p);
+        std::memcpy(plan->rank_arena.data() + i * p, s->node_ranks[node].data(),
+                    sizeof(int) * p);
+        record_chunk(node, len);
       }
       s->intra_ring_count = relabel_rings;
       s->arena_count = relabel_rings * p;
@@ -239,8 +214,8 @@ void SequencePartitioner::PartitionInterNodeSharded(const Batch& batch, Partitio
       s->node_loads.Reset(num_nodes);
     }
 
-    // Chunk placement for z2 (lines 7-10), heap-based exactly like the
-    // serial fast path: z2 holds few, long sequences.
+    // Chunk placement for z2 (lines 7-10), heap-based: z2 holds few, long
+    // sequences.
     const double s_avg = static_cast<double>(z2_total) / num_nodes;
     for (int i = z2_start; i < boundary; ++i) {
       const uint64_t key = s->keys[i];
@@ -306,10 +281,10 @@ void SequencePartitioner::PartitionInterNodeSharded(const Batch& batch, Partitio
     for (int i = boundary; i < nb; ++i) {
       z2_total += KeyLen(s->keys[i]);
     }
-    // Incremental-continuation test (same as the serial fast path): the
-    // aborted pass must have been pure z01 packing, and under the new s_avg
-    // even the longest promoted sequence must chunk to a single node. Then
-    // the replay is a no-op re-labelling.
+    // Incremental-continuation test: the aborted pass must have been pure
+    // z01 packing, and under the new s_avg even the longest promoted
+    // sequence must chunk to a single node. Then the replay is a no-op
+    // re-labelling.
     const double next_avg = static_cast<double>(z2_total) / num_nodes;
     if (boundary == 0 &&
         static_cast<double>(KeyLen(s->keys[0])) <= std::max(next_avg, 1.0)) {
@@ -320,7 +295,6 @@ void SequencePartitioner::PartitionInterNodeSharded(const Batch& batch, Partitio
     // restarts means a broken invariant; fall back to the reference greedy
     // once rather than looping.
     if (++restarts > n) {
-      ZCHECK(options_.naive_fallback) << "sharded restart chain exceeded its bound";
       // The naive path rewinds the emission cursors itself and re-emits
       // every ring into the recycled plan storage.
       PartitionInterNodeNaive(batch, plan, s);
@@ -344,12 +318,11 @@ void SequencePartitioner::PartitionInterNodeSharded(const Batch& batch, Partitio
 
 // --- Intra-node stage (Alg. 2), sharded engine --------------------------------
 
-void SequencePartitioner::PartitionIntraNodeSharded(int node, int context,
-                                                    PlannerScratch* s) const {
+void SequencePartitioner::PartitionIntraNodeSharded(int node, PlannerScratch* s) const {
   const int p = cluster_.gpus_per_node;
   const int rank_base = node * p;
   const int64_t capacity = options_.token_capacity;
-  IntraWorkerSlab& slab = s->intra_slabs[context];
+  IntraSlab& slab = s->intra_slab;
   NodeIntraResult& res = s->intra_results[node];
   const std::vector<uint64_t>& items = s->node_items[node];
   const int n = static_cast<int>(items.size());
@@ -417,83 +390,62 @@ void SequencePartitioner::PartitionIntraNodeSharded(int node, int context,
 
 // --- Driver -------------------------------------------------------------------
 
-void SequencePartitioner::PartitionParallel(const Batch& batch, PlannerScratch* scratch,
-                                            PartitionPlan* plan, ThreadPool* pool) const {
+void SequencePartitioner::PartitionSharded(const Batch& batch, PlannerScratch* scratch,
+                                           PartitionPlan* plan) const {
   const int num_nodes = cluster_.num_nodes;
   const int p = cluster_.gpus_per_node;
-  const int contexts = pool->num_contexts();
 
-  if (static_cast<int>(scratch->intra_slabs.size()) < contexts) {
-    scratch->intra_slabs.resize(contexts);
-  }
   scratch->node_packer.ResetOps();
-  for (IntraWorkerSlab& slab : scratch->intra_slabs) {
-    slab.packer.ResetOps();
-  }
+  scratch->intra_slab.packer.ResetOps();
   scratch->node_items.resize(num_nodes);
   scratch->intra_results.resize(num_nodes);
 
-  PartitionInterNodeSharded(batch, plan, scratch, pool);
+  PartitionInterNodeSharded(batch, plan, scratch);
+  for (int node = 0; node < num_nodes; ++node) {
+    PartitionIntraNodeSharded(node, scratch);
+  }
 
-  // Alg. 2: one task per node; task `node` always runs on context
-  // node % contexts, so slab reuse and results are thread-count-invariant.
-  pool->RunTasks(num_nodes,
-                 [&](int node, int context) { PartitionIntraNodeSharded(node, context, scratch); });
-
-  // Merge per-node results in node order — identical bytes to the serial
-  // engines' per-node append order. Locals, ring headers, and arena slices
-  // all land at offsets precomputed from per-node counts, so the copy itself
-  // fans out over the pool with no synchronization.
-  scratch->local_offsets.resize(num_nodes + 1);
-  scratch->ring_offsets.resize(num_nodes + 1);
-  scratch->rank_offsets.resize(num_nodes + 1);
-  size_t total_locals = plan->local.size();
-  size_t ring_cursor = scratch->intra_ring_count;
-  size_t rank_cursor = scratch->arena_count;
+  // Merge per-node results in node order — identical bytes to the naive
+  // engine's per-node append order. Storage is sized once from the per-node
+  // counts (exactly: plans are cached and shared, so capacity slack would be
+  // held for their lifetime), then each node's locals, shifted ring headers
+  // and arena slice are copied behind the previous node's.
+  size_t local_total = 0;
+  size_t ring_total = scratch->intra_ring_count;
+  size_t rank_total = scratch->arena_count;
+  for (const NodeIntraResult& res : scratch->intra_results) {
+    local_total += res.locals.size() + res.locals_z1.size();
+    ring_total += res.rings.ref_count;
+    rank_total += res.rings.rank_count;
+  }
+  plan->local.reserve(local_total);
+  if (plan->intra_node.size() < ring_total) {
+    plan->intra_node.resize(ring_total);
+  }
+  if (plan->rank_arena.size() < rank_total) {
+    plan->rank_arena.resize(rank_total);
+  }
   for (int node = 0; node < num_nodes; ++node) {
     const NodeIntraResult& res = scratch->intra_results[node];
-    scratch->local_offsets[node] = total_locals;
-    scratch->ring_offsets[node] = ring_cursor;
-    scratch->rank_offsets[node] = rank_cursor;
-    total_locals += res.locals.size() + res.locals_z1.size();
-    ring_cursor += res.rings.ref_count;
-    rank_cursor += res.rings.rank_count;
-  }
-  scratch->local_offsets[num_nodes] = total_locals;
-  scratch->ring_offsets[num_nodes] = ring_cursor;
-  scratch->rank_offsets[num_nodes] = rank_cursor;
-  plan->local.resize(total_locals);
-  if (plan->intra_node.size() < ring_cursor) {
-    plan->intra_node.resize(ring_cursor);
-  }
-  if (plan->rank_arena.size() < rank_cursor) {
-    plan->rank_arena.resize(rank_cursor);
-  }
-  pool->RunTasks(num_nodes, [&](int node, int /*context*/) {
-    const NodeIntraResult& res = scratch->intra_results[node];
-    LocalSequence* dst = plan->local.data() + scratch->local_offsets[node];
-    dst = std::copy(res.locals.begin(), res.locals.end(), dst);
-    std::copy(res.locals_z1.begin(), res.locals_z1.end(), dst);
+    plan->local.insert(plan->local.end(), res.locals.begin(), res.locals.end());
+    plan->local.insert(plan->local.end(), res.locals_z1.begin(), res.locals_z1.end());
 
     // Headers shift from node-local to plan-arena offsets; ranks are one
     // contiguous slice copy.
-    RingRef* headers = plan->intra_node.data() + scratch->ring_offsets[node];
-    const uint32_t shift = static_cast<uint32_t>(scratch->rank_offsets[node]);
+    RingRef* headers = plan->intra_node.data() + scratch->intra_ring_count;
+    const uint32_t shift = static_cast<uint32_t>(scratch->arena_count);
     for (size_t i = 0; i < res.rings.ref_count; ++i) {
       RingRef ring = res.rings.refs[i];
       ring.rank_offset += shift;
       headers[i] = ring;
     }
     if (res.rings.rank_count > 0) {
-      std::memcpy(plan->rank_arena.data() + scratch->rank_offsets[node], res.rings.arena.data(),
+      std::memcpy(plan->rank_arena.data() + scratch->arena_count, res.rings.arena.data(),
                   sizeof(int) * res.rings.rank_count);
     }
-  });
-  scratch->intra_ring_count = ring_cursor;
-  scratch->arena_count = rank_cursor;
+    scratch->intra_ring_count += res.rings.ref_count;
+    scratch->arena_count += res.rings.rank_count;
 
-  for (int node = 0; node < num_nodes; ++node) {
-    const NodeIntraResult& res = scratch->intra_results[node];
     for (int d = 0; d < p; ++d) {
       plan->tokens_per_rank[node * p + d] += res.device_loads[d];
     }

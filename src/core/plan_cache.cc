@@ -138,8 +138,8 @@ namespace {
 
 uint64_t OptionsSignature(const PlanningOptions& options) {
   // Only the options that change the *plan bytes* participate in the key:
-  // the engine-selection knobs (fast_path, use_shared_pool) are excluded by
-  // the byte-identity contract, and delta_replan_threshold only shapes
+  // the engine-selection knob (planner_fast_path) is excluded by the
+  // byte-identity contract, and delta_replan_threshold only shapes
   // session fallback policy, not the plan a given batch gets.
   uint64_t h = kFnvOffset;
   h = FnvMix(h, static_cast<uint64_t>(options.token_capacity));

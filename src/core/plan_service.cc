@@ -24,8 +24,8 @@ const char* PlanEngineName(PlanEngine engine) {
   switch (engine) {
     case PlanEngine::kNaive:
       return "naive";
-    case PlanEngine::kSerialFast:
-      return "serial-fast";
+    case PlanEngine::kElastic:
+      return "elastic";
     case PlanEngine::kParallelSharded:
       return "parallel-sharded";
     case PlanEngine::kDeltaPatch:
@@ -55,9 +55,6 @@ const char* CacheOutcomeName(CacheOutcome outcome) {
 PlannerService::PlannerService(PlanServiceOptions options)
     : options_(options), plan_pool_(std::make_shared<PlanPool>()) {
   plan_pool_->limit = std::max(0, options_.plan_pool_limit);
-  if (options_.num_planner_threads >= 1) {
-    pool_.emplace(std::clamp(options_.num_planner_threads, 1, ThreadPool::kMaxContexts));
-  }
 }
 
 PlannerService::~PlannerService() = default;
@@ -180,11 +177,6 @@ PlanResponse PlannerService::PlanStateless(const PlanRequest& request) {
     popts.max_inter_threshold = zones.intra_max;
     popts.max_local_threshold = zones.local_max;
   }
-  const bool pooled =
-      pool_.has_value() && request.options.use_shared_pool && request.options.planner_fast_path;
-  if (pooled) {
-    popts.pool = &*pool_;
-  }
 
   // Check a reusable workspace out of the free list; concurrent stateless
   // requests each get their own, and steady-state traffic reuses them.
@@ -208,20 +200,13 @@ PlanResponse PlannerService::PlanStateless(const PlanRequest& request) {
   const auto start = Clock::now();
   {
     obs::TraceScope plan_span(obs::Stage::kPlan);
-    // ThreadPool batches admit one caller at a time; every pooled plan in
-    // the service serializes here (delta patches never do).
-    std::unique_lock<std::mutex> pool_lock;
-    if (pooled) {
-      pool_lock = std::unique_lock<std::mutex>(pool_mu_);
-    }
     ctx->partitioner->Partition(batch, &ctx->scratch, plan.get());
   }
   response.stats.partition_time_us = ElapsedUs(start);
   response.stats.stage_us[static_cast<int>(obs::Stage::kPlan)] =
       response.stats.partition_time_us;
-  response.stats.engine = !request.options.planner_fast_path ? PlanEngine::kNaive
-                          : pooled ? PlanEngine::kParallelSharded
-                                   : PlanEngine::kSerialFast;
+  response.stats.engine =
+      request.options.planner_fast_path ? PlanEngine::kParallelSharded : PlanEngine::kNaive;
   response.stats.token_capacity = popts.token_capacity;
   response.stats.session_count = session_count();
 
@@ -262,7 +247,7 @@ PlanResponse PlannerService::PlanSession(const PlanRequest& request) {
 
   PlanResponse response;
   // Requests on the same stream serialize here; distinct streams proceed
-  // concurrently (their only shared state is the pool, locked per-rebase).
+  // concurrently.
   std::lock_guard<std::mutex> session_lock(session->mu);
 
   const auto start = Clock::now();
@@ -270,7 +255,6 @@ PlanResponse PlannerService::PlanSession(const PlanRequest& request) {
   const double plan_start_us = tctx != nullptr ? obs::NowUs() : 0;
   const bool needs_base = !session->planner || !(session->planner->cluster() == spec) ||
                           !session->planner->has_base() || request.delta == nullptr;
-  bool pooled_rebase = false;
   if (needs_base) {
     // (Re)establish the base: capacity pinned from this batch, zone caps
     // from the cached boundaries, and the memory model as the ceiling for
@@ -285,11 +269,6 @@ PlanResponse PlannerService::PlanSession(const PlanRequest& request) {
     }
     dopts.replan_threshold = request.options.delta_replan_threshold;
     dopts.fast_path = true;
-    if (pool_.has_value() && request.options.use_shared_pool) {
-      dopts.pool = &*pool_;
-      dopts.pool_mutex = &pool_mu_;
-      pooled_rebase = true;
-    }
     if (!session->planner || !(session->planner->cluster() == spec)) {
       session->planner.emplace(spec, dopts);
     } else {
@@ -305,7 +284,6 @@ PlanResponse PlannerService::PlanSession(const PlanRequest& request) {
     session->planner->Rebase(batch);
     session->last_outcome = DeltaOutcome::kRebasedNoBase;
   } else {
-    pooled_rebase = session->planner->options().pool != nullptr;
     // Fabric churn first (a topology fallback replans against the session's
     // tracked batch), then the batch delta patches on whatever base that
     // left. The reported outcome is the *dominant* one: a topology rebase
@@ -337,11 +315,10 @@ PlanResponse PlannerService::PlanSession(const PlanRequest& request) {
   response.stats.delta_outcome = session->last_outcome;
   const bool patched = session->last_outcome == DeltaOutcome::kApplied ||
                        session->last_outcome == DeltaOutcome::kAppliedTopology;
-  // Degraded-fabric rebases run the serial elastic engine, never the pool.
-  const bool degraded = session->planner->topology().degraded();
+  // Degraded-fabric rebases run the elastic engine, not the partitioner.
   response.stats.engine = patched ? PlanEngine::kDeltaPatch
-                          : (pooled_rebase && !degraded) ? PlanEngine::kParallelSharded
-                                                         : PlanEngine::kSerialFast;
+                          : session->planner->topology().degraded() ? PlanEngine::kElastic
+                                                                    : PlanEngine::kParallelSharded;
   response.stats.token_capacity = session->planner->token_capacity();
   response.stats.session_count = session_count();
 

@@ -34,9 +34,10 @@
 //     (callers need no external synchronization, but see the determinism
 //     caveat in docs/SERVICE_API.md: interleaving order is the caller's
 //     responsibility).
-//   - Full (re)plans share the service's ThreadPool under an internal lock;
-//     delta patches never touch the pool, so concurrent streams only
-//     contend when one of them falls back to a full re-plan.
+//   - Every plan runs inline on the calling thread with its own workspace,
+//     so stateless plans and distinct streams never wait on each other's
+//     planning; they share only short bookkeeping locks (workspace free
+//     list, plan storage pool, zone cache, session table).
 //   - Returned handles are immune to later requests; they may outlive the
 //     service itself.
 #ifndef SRC_CORE_PLAN_SERVICE_H_
@@ -50,7 +51,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "src/common/thread_pool.h"
 #include "src/obs/trace.h"
 #include "src/core/delta_planner.h"
 #include "src/core/partitioner.h"
@@ -77,10 +77,6 @@ struct PlanningOptions {
   bool zone_aware_thresholds = false;
   // false forces the reference linear-scan greedy engine.
   bool planner_fast_path = true;
-  // Run on the service's shared ThreadPool when it has one (the
-  // parallel/sharded engine); false pins this request to the serial fast
-  // path regardless of the service pool. Plans are byte-identical either way.
-  bool use_shared_pool = true;
   // Streaming fallback knob (sessions only): full re-plan above this churn
   // fraction or imbalance drift (DeltaPlannerOptions::replan_threshold).
   double delta_replan_threshold = 0.05;
@@ -110,8 +106,8 @@ struct PlanRequest {
 // Which engine produced the response's plan.
 enum class PlanEngine : uint8_t {
   kNaive = 0,        // Reference linear-scan greedy.
-  kSerialFast,       // O((S+P) log P) heap-based serial fast path.
-  kParallelSharded,  // Pool-sharded engine (byte-identical at any threads).
+  kElastic,          // Session rebase on a degraded fabric (elastic re-plan).
+  kParallelSharded,  // Sharded production engine.
   kDeltaPatch,       // Session request patched incrementally.
   kGlobalRing,       // hierarchical_partitioning = false ablation layout.
   kAdopted,          // Externally produced plan adopted without planning
@@ -132,7 +128,10 @@ enum class CacheOutcome : uint8_t {
 const char* CacheOutcomeName(CacheOutcome outcome);
 
 struct PlanStats {
-  PlanEngine engine = PlanEngine::kSerialFast;
+  // Responses that carry no plan (ping, kStats) keep the default, whose
+  // value 1 predates the current engine names; it stays so their wire bytes
+  // do not move.
+  PlanEngine engine = PlanEngine::kElastic;
   // Wall time of the partitioning step alone (Partition / Apply / Rebase) —
   // the same quantity ZeppelinStrategy::partition_time_us always reported.
   double partition_time_us = 0;
@@ -179,11 +178,6 @@ struct PlanResponse {
 };
 
 struct PlanServiceOptions {
-  // Execution contexts of the shared planning pool (including the calling
-  // thread): 0 = no pool (every full plan runs the serial fast path), N >= 1
-  // = pooled sharded engine for full (re)plans. Same semantics as
-  // ZeppelinOptions::num_planner_threads.
-  int num_planner_threads = 1;
   // Immutable-plan storage recycled through the internal pool; handles
   // released beyond this cap free normally.
   int plan_pool_limit = 16;
@@ -278,13 +272,6 @@ class PlannerService {
   std::shared_ptr<Session> FindOrCreateSession(const std::string& stream_id);
 
   PlanServiceOptions options_;
-
-  // Declared before the session table: sessions hold DeltaPlanners whose
-  // rebases reference the pool, so the pool must be destroyed last.
-  std::optional<ThreadPool> pool_;
-  // Serializes every use of pool_ (ThreadPool batches are not reentrant and
-  // admit one caller at a time). Delta patches never take this.
-  std::mutex pool_mu_;
 
   mutable std::mutex sessions_mu_;
   // shared_ptr values: a session stays alive for any request that looked it

@@ -29,9 +29,7 @@ PlannerService& ZeppelinStrategy::service() {
     return *options_.service;
   }
   if (!owned_service_) {
-    owned_service_ = std::make_shared<PlannerService>(
-        PlanServiceOptions{.num_planner_threads =
-                               options_.planner_fast_path ? options_.num_planner_threads : 0});
+    owned_service_ = std::make_shared<PlannerService>();
   }
   return *owned_service_;
 }
@@ -42,9 +40,6 @@ PlanningOptions ZeppelinStrategy::BuildPlanningOptions() const {
   popts.hierarchical_partitioning = options_.hierarchical_partitioning;
   popts.zone_aware_thresholds = options_.zone_aware_thresholds;
   popts.planner_fast_path = options_.planner_fast_path;
-  // 0 planner threads historically meant "serial fast path": opt out of
-  // whatever pool the service carries.
-  popts.use_shared_pool = options_.num_planner_threads >= 1;
   popts.delta_replan_threshold = options_.delta_replan_threshold;
   return popts;
 }

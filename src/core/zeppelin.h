@@ -52,20 +52,10 @@ struct ZeppelinOptions {
   // smaller rings even when memory would allow bigger ones.
   bool zone_aware_thresholds = false;
 
-  // Selects the O((S + P) log P) heap-based planner fast path (bit-identical
-  // plans); false forces the reference linear-scan greedy. Exposed so the
-  // planner-scaling bench can measure old-vs-new on the same code base.
+  // Selects the sharded production planner engine (bit-identical plans);
+  // false forces the reference linear-scan greedy. Exposed so the
+  // planner-scaling bench can measure both on the same code base.
   bool planner_fast_path = true;
-
-  // Execution contexts for the parallel/sharded planner engine (including
-  // the calling thread): 1 runs the sharded engine inline (the default —
-  // typically 2-3x the serial fast path at bench scale, though
-  // materialization-bound points can tie it), N > 1 adds N-1 pool workers
-  // for the per-node intra stage and merges, and 0 opts out, forcing the
-  // PR-1 serial fast path (the bench baseline). Plans are bit-identical at
-  // every setting. Applies to the strategy's private service only; a shared
-  // `service` brings its own pool.
-  int num_planner_threads = 1;
 
   // Streaming (PlanDelta) fallback knob: the delta planner re-plans from
   // scratch when the churn fraction exceeds this, or when the patched plan's
@@ -79,9 +69,8 @@ struct ZeppelinOptions {
   std::string stream_id = "default";
 
   // Planner service to plan through. Null = the strategy lazily creates a
-  // private service sized by `num_planner_threads`. Supplying a shared
-  // service lets many strategies/streams plan through one pool and one
-  // session table (see docs/SERVICE_API.md).
+  // private service. Supplying a shared service lets many strategies/streams
+  // plan through one session table (see docs/SERVICE_API.md).
   std::shared_ptr<PlannerService> service;
 
   // Deterministic fault injection (docs/ELASTIC.md). The strategy never runs

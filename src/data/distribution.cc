@@ -98,11 +98,12 @@ std::vector<int64_t> StandardBinEdges() {
 }
 
 std::string BinLabel(int64_t lo, int64_t hi) {
-  auto k = [](int64_t v) { return std::to_string(v / 1024) + "k"; };
-  if (lo == 0) {
-    return "<" + k(hi);
-  }
-  return std::to_string(lo / 1024) + "-" + k(hi);
+  // Built by appends: GCC 12 flags `"literal" + std::string` with a false
+  // -Wrestrict.
+  std::string label = lo == 0 ? "<" : std::to_string(lo / 1024) + "-";
+  label += std::to_string(hi / 1024);
+  label += 'k';
+  return label;
 }
 
 }  // namespace zeppelin

@@ -371,8 +371,7 @@ PlannerDaemon::PlannerDaemon(const TransformerConfig& model, const ClusterSpec& 
       fabric_digest_(DigestFabric(fabric_)),
       options_(options) {
   options_.max_frame_bytes = std::min(options_.max_frame_bytes, kFrameHardCap);
-  service_ = std::make_unique<PlannerService>(
-      PlanServiceOptions{.num_planner_threads = options_.planner_threads});
+  service_ = std::make_unique<PlannerService>();
   if (options_.plan_cache) {
     PlanCacheOptions cache_options;
     cache_options.capacity = options_.plan_cache_capacity;
@@ -801,12 +800,14 @@ bool PlannerDaemon::HandleFrame(Connection& conn, const Frame& frame) {
 }
 
 void PlannerDaemon::ObserveRequest(const obs::TraceContext& ctx, double total_us) {
-  h_request_us_->Record(static_cast<uint64_t>(std::max(0.0, total_us)));
+  // Stages first, the request histogram last: a reader that sees the request
+  // counted then also sees its stage breakdown.
   for (int i = 0; i < obs::kNumStages; ++i) {
     if (ctx.stage_us[i] > 0) {
       h_stage_[i]->Record(static_cast<uint64_t>(ctx.stage_us[i]));
     }
   }
+  h_request_us_->Record(static_cast<uint64_t>(std::max(0.0, total_us)));
   if (slow_log_ != nullptr) {
     slow_log_->Observe(ctx, total_us);
   }

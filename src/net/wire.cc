@@ -18,6 +18,9 @@ constexpr uint32_t kMaxMessageBytes = 4096;
 constexpr uint8_t kOptHierarchical = 1u << 0;
 constexpr uint8_t kOptZoneAware = 1u << 1;
 constexpr uint8_t kOptFastPath = 1u << 2;
+// Bit 3 once selected a shared planner thread pool. There is one engine now;
+// the bit is always written set (what every default request carried) and
+// ignored on parse, so old and new peers exchange the same bytes.
 constexpr uint8_t kOptSharedPool = 1u << 3;
 constexpr uint8_t kOptKnownMask =
     kOptHierarchical | kOptZoneAware | kOptFastPath | kOptSharedPool;
@@ -30,11 +33,10 @@ WireStatus Malformed(std::string* error, const char* what) {
 }
 
 uint8_t OptionFlags(const PlanningOptions& options) {
-  uint8_t flags = 0;
+  uint8_t flags = kOptSharedPool;
   if (options.hierarchical_partitioning) flags |= kOptHierarchical;
   if (options.zone_aware_thresholds) flags |= kOptZoneAware;
   if (options.planner_fast_path) flags |= kOptFastPath;
-  if (options.use_shared_pool) flags |= kOptSharedPool;
   return flags;
 }
 
@@ -244,7 +246,6 @@ WireStatus ParseRequest(std::string_view payload, WireRequest* request,
   request->options.hierarchical_partitioning = (flags & kOptHierarchical) != 0;
   request->options.zone_aware_thresholds = (flags & kOptZoneAware) != 0;
   request->options.planner_fast_path = (flags & kOptFastPath) != 0;
-  request->options.use_shared_pool = (flags & kOptSharedPool) != 0;
   const uint64_t capacity = in.Get<uint64_t>();
   // Tighter than the response-side cap: a *requested* per-device capacity
   // above the max sequence length is meaningless and would let capacity

@@ -80,8 +80,11 @@ std::string FormatTimelineReport(const TaskGraph& graph, const FabricResources& 
 
   Table nic_table({"nic", "tx_util", "rx_util"});
   for (const auto& u : ComputeNicUtilization(fabric, result)) {
-    nic_table.AddRow({"n" + std::to_string(u.node) + ".nic" + std::to_string(u.nic),
-                      Table::Cell(u.tx_utilization, 3), Table::Cell(u.rx_utilization, 3)});
+    std::string nic = "n";
+    nic += std::to_string(u.node);
+    nic += ".nic";
+    nic += std::to_string(u.nic);
+    nic_table.AddRow({nic, Table::Cell(u.tx_utilization, 3), Table::Cell(u.rx_utilization, 3)});
   }
   out << nic_table.ToString();
   return out.str();

@@ -5,8 +5,8 @@
 // Three checks pin the codec:
 //   1. byte identity — SerializePlan, EncodeRequest, EncodeResponse and the
 //      frame writers emit the oracle's bytes for seeded plans from every
-//      engine (naive, fast, sharded, delta-patched) plus the empty and S=1
-//      edge plans, and for requests/responses exercising every section;
+//      engine (naive, sharded, delta-patched) plus the empty and S=1 edge
+//      plans, and for requests/responses exercising every section;
 //   2. golden residues — FNV-1a 64 of selected encodings are pinned as
 //      constants (prst's res64 idiom), so a change to either encoder that
 //      moved both in lockstep still fails;
@@ -23,7 +23,6 @@
 #include <vector>
 
 #include "src/common/rng.h"
-#include "src/common/thread_pool.h"
 #include "src/core/delta_planner.h"
 #include "src/core/partitioner.h"
 #include "src/core/plan_io.h"
@@ -262,7 +261,10 @@ constexpr uint8_t kOptSharedPool = 1u << 3;
 constexpr uint8_t kOptKnownMask =
     kOptHierarchical | kOptZoneAware | kOptFastPath | kOptSharedPool;
 
-std::string EncodeRequest(const net::WireRequest& request) {
+// Bit 3 of the option flags once selected a shared planner thread pool. The
+// current encoder always sets it; `pool_bit = false` reproduces the images of
+// requests that cleared it before the option was removed.
+std::string EncodeRequest(const net::WireRequest& request, bool pool_bit = true) {
   std::string out;
   PutU32(&out, net::kWireVersion);
   PutU8(&out, static_cast<uint8_t>(request.kind));
@@ -274,7 +276,7 @@ std::string EncodeRequest(const net::WireRequest& request) {
   if (request.options.hierarchical_partitioning) flags |= kOptHierarchical;
   if (request.options.zone_aware_thresholds) flags |= kOptZoneAware;
   if (request.options.planner_fast_path) flags |= kOptFastPath;
-  if (request.options.use_shared_pool) flags |= kOptSharedPool;
+  if (pool_bit) flags |= kOptSharedPool;
   PutU8(&out, flags);
   PutU64(&out, static_cast<uint64_t>(request.options.token_capacity));
   PutF64(&out, request.options.delta_replan_threshold);
@@ -368,7 +370,6 @@ net::WireStatus ParseRequest(std::string_view payload, net::WireRequest* request
   request->options.hierarchical_partitioning = (flags & kOptHierarchical) != 0;
   request->options.zone_aware_thresholds = (flags & kOptZoneAware) != 0;
   request->options.planner_fast_path = (flags & kOptFastPath) != 0;
-  request->options.use_shared_pool = (flags & kOptSharedPool) != 0;
   const uint64_t capacity = in.GetU64();
   if (capacity > static_cast<uint64_t>(net::kMaxWireSeqLen)) {
     return Malformed(error, "token capacity out of range");
@@ -568,13 +569,12 @@ Batch SampleBatch(int num_seqs, uint64_t seed) {
   return batch;
 }
 
-PartitionPlan MakePlan(const Batch& batch, const ClusterSpec& cluster, bool fast_path,
-                       ThreadPool* pool) {
+PartitionPlan MakePlan(const Batch& batch, const ClusterSpec& cluster, bool fast_path) {
   const int64_t world = cluster.world_size();
   const int64_t average = (batch.total_tokens() + world - 1) / world;
   SequencePartitioner partitioner(
-      cluster, SequencePartitioner::Options{
-                   .token_capacity = average + average / 4, .fast_path = fast_path, .pool = pool});
+      cluster, SequencePartitioner::Options{.token_capacity = average + average / 4,
+                                            .fast_path = fast_path});
   return partitioner.Partition(batch);
 }
 
@@ -606,14 +606,12 @@ const std::vector<NamedPlan>& Plans() {
     Batch ring_heavy = SampleBatch(512, 0x5eed);
     ring_heavy.seq_lens.insert(ring_heavy.seq_lens.begin(), {1500000, 1400000});
     const ClusterSpec cluster = MakeClusterA(16);
-    ThreadPool pool(3);
     std::vector<NamedPlan> out;
-    out.push_back({"naive", MakePlan(ring_heavy, cluster, /*fast_path=*/false, nullptr)});
-    out.push_back({"fast", MakePlan(ring_heavy, cluster, /*fast_path=*/true, nullptr)});
-    out.push_back({"sharded", MakePlan(ring_heavy, cluster, /*fast_path=*/true, &pool)});
+    out.push_back({"naive", MakePlan(ring_heavy, cluster, /*fast_path=*/false)});
+    out.push_back({"sharded", MakePlan(ring_heavy, cluster, /*fast_path=*/true)});
     out.push_back({"delta_patched", DeltaPatchedPlan()});
     out.push_back({"empty", PartitionPlan{}});
-    out.push_back({"single", MakePlan(Batch{{4096}}, MakeClusterA(1), true, nullptr)});
+    out.push_back({"single", MakePlan(Batch{{4096}}, MakeClusterA(1), true)});
     return out;
   }();
   return plans;
@@ -622,7 +620,15 @@ const std::vector<NamedPlan>& Plans() {
 struct NamedRequest {
   const char* name;
   net::WireRequest request;
+  // The pinned image was recorded with flags bit 3 clear (see
+  // ref::EncodeRequest).
+  bool pool_bit_clear = false;
 };
+
+// The image a request's residue and parse-parity checks run on.
+std::string PinnedImage(const NamedRequest& r) {
+  return ref::EncodeRequest(r.request, /*pool_bit=*/!r.pool_bit_clear);
+}
 
 const std::vector<NamedRequest>& Requests() {
   static const std::vector<NamedRequest> requests = [] {
@@ -638,21 +644,20 @@ const std::vector<NamedRequest>& Requests() {
     session.stream_id = "stream/α-1";
     session.options.token_capacity = 123456;
     session.options.zone_aware_thresholds = true;
-    session.options.use_shared_pool = false;
     session.options.delta_replan_threshold = 0.125;
     session.batch = SampleBatch(64, 2);
     session.delta = BatchDelta{{3, 17, 40},
                                {{1, 4096}, {5, 0}, {63, int64_t{1} << 39}},
                                {777, 1, 65536}};
     session.topology = TopologyDelta{{2, 9}, {4}, {{0, 0.5}, {11, 1.75}}};
-    out.push_back({"session_delta_topology", session});
+    out.push_back({"session_delta_topology", session, /*pool_bit_clear=*/true});
 
     net::WireRequest empty_sections = session;
     empty_sections.request_id = 3;
     empty_sections.batch.seq_lens.clear();
     empty_sections.delta = BatchDelta{};
     empty_sections.topology = TopologyDelta{};
-    out.push_back({"empty_sections", empty_sections});
+    out.push_back({"empty_sections", empty_sections, /*pool_bit_clear=*/true});
 
     net::WireRequest ping;
     ping.kind = net::RequestKind::kPing;
@@ -742,6 +747,33 @@ TEST(CodecGoldenTest, EncodeRequestMatchesOracle) {
   }
 }
 
+// Requests pinned with flags bit 3 clear: the current encoder's image differs
+// from the pinned one only in that bit, and the parser still decodes the
+// pinned image to the same request.
+TEST(CodecGoldenTest, PoolBitClearImagesDecodeToTheSameRequest) {
+  int checked = 0;
+  for (const NamedRequest& r : Requests()) {
+    if (!r.pool_bit_clear) {
+      continue;
+    }
+    ++checked;
+    const std::string pinned = PinnedImage(r);
+    const size_t flags_at = 4 + 1 + 8 + 4 + 4 + r.request.stream_id.size();
+    ASSERT_LT(flags_at, pinned.size()) << r.name;
+    EXPECT_EQ(pinned[flags_at] & 0x08, 0) << r.name;
+    std::string with_bit = pinned;
+    with_bit[flags_at] = static_cast<char>(with_bit[flags_at] | 0x08);
+    EXPECT_EQ(net::EncodeRequest(r.request), with_bit) << r.name;
+
+    net::WireRequest decoded;
+    std::string error;
+    ASSERT_EQ(net::ParseRequest(pinned, &decoded, &error), net::WireStatus::kOk)
+        << r.name << ": " << error;
+    EXPECT_EQ(ref::EncodeRequest(decoded), ref::EncodeRequest(r.request)) << r.name;
+  }
+  EXPECT_EQ(checked, 2);
+}
+
 TEST(CodecGoldenTest, EncodeResponseMatchesOracle) {
   for (const NamedResponse& r : Responses()) {
     const std::string oracle = ref::EncodeResponse(r.response);
@@ -793,8 +825,8 @@ TEST(CodecGoldenTest, PinnedResidues) {
   for (const Residue& want : requests) {
     for (const NamedRequest& r : Requests()) {
       if (std::string_view(r.name) == want.name) {
-        EXPECT_EQ(Fnv1a64(net::EncodeRequest(r.request)), want.res64)
-            << want.name << " res64=0x" << std::hex << Fnv1a64(net::EncodeRequest(r.request));
+        EXPECT_EQ(Fnv1a64(PinnedImage(r)), want.res64)
+            << want.name << " res64=0x" << std::hex << Fnv1a64(PinnedImage(r));
       }
     }
   }
@@ -886,7 +918,7 @@ TEST(CodecGoldenTest, ParsePlanMatchesOracleOnCorruptInputs) {
 TEST(CodecGoldenTest, ParseRequestMatchesOracleOnCorruptInputs) {
   uint64_t seed = 0x7e9;
   for (const NamedRequest& r : Requests()) {
-    const std::string image = ref::EncodeRequest(r.request);
+    const std::string image = PinnedImage(r);
     for (const std::string& bytes : Mutations(image, ++seed)) {
       net::WireRequest want_request;
       net::WireRequest got_request;

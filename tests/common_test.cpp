@@ -139,6 +139,18 @@ TEST(TraceJsonTest, EscapesAndSerializes) {
   EXPECT_EQ(w.event_count(), 1u);
 }
 
+// Spans stamped a day after boot, 71.5 µs apart, must stay distinct: the
+// timestamps print in fixed-point µs, not 6 significant digits.
+TEST(TraceJsonTest, KeepsMicrosecondPrecisionOnLargeTimestamps) {
+  ChromeTraceWriter w;
+  w.Add({.name = "a", .category = "plan", .start_us = 86400000123.25, .duration_us = 0.125});
+  w.Add({.name = "b", .category = "plan", .start_us = 86400000194.75, .duration_us = 12.5});
+  const std::string json = w.ToJson();
+  EXPECT_NE(json.find("\"ts\":86400000123.250,\"dur\":0.125"), std::string::npos) << json;
+  EXPECT_NE(json.find("\"ts\":86400000194.750,\"dur\":12.500"), std::string::npos) << json;
+  EXPECT_EQ(json.find("e+"), std::string::npos) << json;
+}
+
 TEST(UnitsTest, Conversions) {
   EXPECT_DOUBLE_EQ(MsToUs(2.0), 2000.0);
   EXPECT_DOUBLE_EQ(GBpsToBytesPerUs(1.0), 1000.0);

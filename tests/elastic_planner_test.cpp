@@ -399,6 +399,7 @@ TEST(PlanServiceElasticTest, SessionAppliesTopologyAndReportsSessionCount) {
   base.stream_id = "elastic";
   const PlanResponse based = service.Plan(base);
   EXPECT_EQ(based.stats.delta_outcome, DeltaOutcome::kRebasedNoBase);
+  EXPECT_EQ(based.stats.engine, PlanEngine::kParallelSharded);
   EXPECT_EQ(based.stats.session_count, 1u);
 
   // Fabric churn rides the session request: the response's plan schedules
@@ -418,6 +419,11 @@ TEST(PlanServiceElasticTest, SessionAppliesTopologyAndReportsSessionCount) {
       << DeltaOutcomeName(response.stats.delta_outcome);
   EXPECT_EQ(response.plan->tokens_per_rank[5], 0);
   EXPECT_EQ(response.stats.session_count, 1u);
+  // A patched step reports the patch; a fallback on the degraded fabric ran
+  // the elastic engine.
+  EXPECT_EQ(response.stats.engine, response.stats.delta_outcome == DeltaOutcome::kAppliedTopology
+                                       ? PlanEngine::kDeltaPatch
+                                       : PlanEngine::kElastic);
 
   EXPECT_TRUE(service.CloseSession("elastic"));
   EXPECT_FALSE(service.HasSession("elastic"));

@@ -1,11 +1,11 @@
-// Parallel/sharded planner engine: the determinism contract and the bulk
-// packing kernel.
+// Sharded planner engine: the determinism contract and the bulk packing
+// kernel.
 //
-// The contract (partitioner.h): plans are byte-identical across the naive
-// reference, the PR-1 serial fast path, and the parallel engine at ANY thread
-// count — including batches that force overflow restarts and degenerate
-// clusters. These tests pin the contract and the GreedyPacker's placement-
-// for-placement equivalence with LoadTracker::pack_min.
+// The contract (partitioner.h): plans are byte-identical between the naive
+// reference and the sharded production engine — including batches that force
+// overflow restarts and degenerate clusters, and on repeated plans through
+// one reused scratch. These tests pin the contract and the GreedyPacker's
+// placement-for-placement equivalence with LoadTracker::pack_min.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -15,7 +15,6 @@
 #include "src/common/greedy_packer.h"
 #include "src/common/load_tracker.h"
 #include "src/common/rng.h"
-#include "src/common/thread_pool.h"
 #include "src/core/partitioner.h"
 #include "src/data/datasets.h"
 #include "src/data/sampler.h"
@@ -159,7 +158,7 @@ TEST(GreedyPackerTest, BulkCommitsKeepOpsNearItemCount) {
       << "round batching degraded to per-item work";
 }
 
-// --- Plan equivalence across engines and thread counts -------------------------
+// --- Plan equivalence across engines ------------------------------------------
 
 void ExpectPlansIdentical(const PartitionPlan& got, const PartitionPlan& want,
                           const std::string& context) {
@@ -174,30 +173,21 @@ void ExpectPlansIdentical(const PartitionPlan& got, const PartitionPlan& want,
   EXPECT_TRUE(got == want) << context;
 }
 
-// Runs naive, serial-fast, and the parallel engine at threads {1, 2, 3, 8};
-// every plan must be byte-identical.
+// Runs the naive reference and the sharded engine; both plans must be
+// byte-identical.
 void CheckAllEngines(const ClusterSpec& cluster, const Batch& batch, int64_t capacity,
                      const std::string& context) {
   SequencePartitioner naive(cluster,
                             {.token_capacity = capacity, .fast_path = false});
   const PartitionPlan naive_plan = naive.Partition(batch);
 
-  SequencePartitioner fast(cluster, {.token_capacity = capacity, .fast_path = true});
-  const PartitionPlan fast_plan = fast.Partition(batch);
-  ExpectPlansIdentical(fast_plan, naive_plan, context + " [fast vs naive]");
-
-  for (int threads : {1, 2, 3, 8}) {
-    ThreadPool pool(threads);
-    SequencePartitioner parallel(
-        cluster, {.token_capacity = capacity, .fast_path = true, .pool = &pool});
-    PlannerScratch scratch;
-    PartitionPlan parallel_plan;
-    // Two runs through the same scratch: steady-state reuse must not leak.
-    parallel.Partition(batch, &scratch, &parallel_plan);
-    parallel.Partition(batch, &scratch, &parallel_plan);
-    ExpectPlansIdentical(parallel_plan, naive_plan,
-                         context + " [parallel T=" + std::to_string(threads) + "]");
-  }
+  SequencePartitioner sharded(cluster, {.token_capacity = capacity, .fast_path = true});
+  PlannerScratch scratch;
+  PartitionPlan sharded_plan;
+  // Two runs through the same scratch: steady-state reuse must not leak.
+  sharded.Partition(batch, &scratch, &sharded_plan);
+  sharded.Partition(batch, &scratch, &sharded_plan);
+  ExpectPlansIdentical(sharded_plan, naive_plan, context + " [sharded]");
 }
 
 TEST(ParallelPlannerTest, IdenticalOnEvaluationDatasets) {
@@ -215,9 +205,10 @@ TEST(ParallelPlannerTest, IdenticalOnEvaluationDatasets) {
   }
 }
 
-// Zero-slack capacity forces overflow restarts in both stages; the parallel
-// engine's restart path (boundary advance + full replay) must land on the
-// same thresholds and placements as the incremental serial paths.
+// Zero-slack capacity forces overflow restarts in both stages; the sharded
+// engine's incremental restarts (boundary advance + replay or re-label) must
+// land on the same thresholds and placements as the naive whole-stage
+// restarts.
 TEST(ParallelPlannerTest, IdenticalUnderForcedOverflowRestarts) {
   const std::vector<ClusterSpec> clusters = {MakeClusterA(4), MakeClusterC(8)};
   for (const auto& dist : EvaluationDatasets()) {
@@ -252,18 +243,13 @@ TEST(ParallelPlannerTest, IdenticalWithZoneThresholdCaps) {
                                       .max_local_threshold = 2048,
                                       .fast_path = false};
     const PartitionPlan naive_plan = SequencePartitioner(cluster, base).Partition(batch);
-    for (int threads : {1, 3}) {
-      ThreadPool pool(threads);
-      SequencePartitioner::Options opts = base;
-      opts.fast_path = true;
-      opts.pool = &pool;
-      const PartitionPlan got = SequencePartitioner(cluster, opts).Partition(batch);
-      ExpectPlansIdentical(got, naive_plan,
-                           dist.name() + " capped T=" + std::to_string(threads));
-      // The caps force nonempty z2 / z1 zones — make sure rings exist so the
-      // ring-merge path is actually exercised.
-      EXPECT_FALSE(got.inter_node.empty() && got.intra_node.empty()) << dist.name();
-    }
+    SequencePartitioner::Options opts = base;
+    opts.fast_path = true;
+    const PartitionPlan got = SequencePartitioner(cluster, opts).Partition(batch);
+    ExpectPlansIdentical(got, naive_plan, dist.name() + " capped");
+    // The caps force nonempty z2 / z1 zones — make sure rings exist so the
+    // ring-merge path is actually exercised.
+    EXPECT_FALSE(got.inter_node.empty() && got.intra_node.empty()) << dist.name();
   }
 }
 
@@ -277,7 +263,7 @@ TEST(ParallelPlannerTest, IdenticalOnEdgeBatches) {
   };
   // Degenerate 1-node cluster: every z2 sequence is a single-node ring.
   CheckAllEngines(one_node, make({16384, 8192, 2048, 512, 512}), 4096, "one node");
-  // Fewer sequences than pool contexts.
+  // Two sequences.
   CheckAllEngines(cluster, make({4096, 64}), 4096, "tiny batch");
   // Single sequence filling the cluster exactly.
   CheckAllEngines(cluster, make({16 * 4096}), 4096, "single full");
@@ -288,7 +274,7 @@ TEST(ParallelPlannerTest, IdenticalOnEdgeBatches) {
                   "duplicates");
 }
 
-// The parallel engine must route its packing through GreedyPacker in bulk:
+// The sharded engine must route its packing through GreedyPacker in bulk:
 // ops near the sequence count, not S log P.
 TEST(ParallelPlannerTest, PackerOpCountStaysBulk) {
   const int kSeqs = 8192;
@@ -301,14 +287,12 @@ TEST(ParallelPlannerTest, PackerOpCountStaysBulk) {
       batch.seq_lens.push_back(dist.Sample(rng));
     }
     const int64_t average = (batch.total_tokens() + world - 1) / world;
-    ThreadPool pool(2);
     SequencePartitioner partitioner(
-        cluster,
-        {.token_capacity = average + average / 4, .fast_path = true, .pool = &pool});
+        cluster, {.token_capacity = average + average / 4, .fast_path = true});
     PlannerScratch scratch;
     const PartitionPlan plan = partitioner.Partition(batch, &scratch);
     EXPECT_EQ(plan.total_tokens(), batch.total_tokens());
-    EXPECT_GT(scratch.packer_ops(), 0) << "parallel path must route through GreedyPacker";
+    EXPECT_GT(scratch.packer_ops(), 0) << "sharded engine must route through GreedyPacker";
     EXPECT_LE(scratch.packer_ops(), static_cast<int64_t>(10) * (kSeqs + world))
         << dist.name() << ": packing degraded to per-item heap walks";
   }

@@ -1,5 +1,5 @@
 // Plan wire format (src/core/plan_io.h): byte-identical round trips across
-// all three planner engines, digest authentication, and defensive rejection
+// both planner engines, digest authentication, and defensive rejection
 // of malformed inputs (bad magic/version, truncation anywhere, corrupted
 // headers, altered payloads, trailing garbage).
 #include <gtest/gtest.h>
@@ -10,7 +10,6 @@
 #include <vector>
 
 #include "src/common/rng.h"
-#include "src/common/thread_pool.h"
 #include "src/core/delta_planner.h"
 #include "src/core/partitioner.h"
 #include "src/core/plan_io.h"
@@ -42,13 +41,12 @@ Batch RingHeavyBatch(int num_seqs, uint64_t seed) {
   return batch;
 }
 
-PartitionPlan MakePlan(const Batch& batch, const ClusterSpec& cluster, bool fast_path,
-                       ThreadPool* pool) {
+PartitionPlan MakePlan(const Batch& batch, const ClusterSpec& cluster, bool fast_path) {
   const int64_t world = cluster.world_size();
   const int64_t average = (batch.total_tokens() + world - 1) / world;
   SequencePartitioner partitioner(
-      cluster, SequencePartitioner::Options{
-                   .token_capacity = average + average / 4, .fast_path = fast_path, .pool = pool});
+      cluster, SequencePartitioner::Options{.token_capacity = average + average / 4,
+                                            .fast_path = fast_path});
   return partitioner.Partition(batch);
 }
 
@@ -65,22 +63,18 @@ void CheckRoundTrip(const PartitionPlan& plan) {
   EXPECT_EQ(decoded.Serialize(), bytes);
 }
 
-TEST(PlanIoTest, RoundTripAcrossAllThreeEngines) {
+TEST(PlanIoTest, RoundTripAcrossEngines) {
   const ClusterSpec cluster = MakeClusterA(16);
   const Batch batch = RingHeavyBatch(512, 0x5eed);
 
-  const PartitionPlan naive = MakePlan(batch, cluster, /*fast_path=*/false, nullptr);
-  const PartitionPlan fast = MakePlan(batch, cluster, /*fast_path=*/true, nullptr);
-  ThreadPool pool(3);
-  const PartitionPlan parallel = MakePlan(batch, cluster, /*fast_path=*/true, &pool);
+  const PartitionPlan naive = MakePlan(batch, cluster, /*fast_path=*/false);
+  const PartitionPlan sharded = MakePlan(batch, cluster, /*fast_path=*/true);
 
-  // The engines agree (the planner contract), so one wire image serves all.
-  ASSERT_TRUE(naive == fast);
-  ASSERT_TRUE(naive == parallel);
+  // The engines agree (the planner contract), so one wire image serves both.
+  ASSERT_TRUE(naive == sharded);
   CheckRoundTrip(naive);
-  CheckRoundTrip(fast);
-  CheckRoundTrip(parallel);
-  EXPECT_EQ(naive.Serialize(), parallel.Serialize());
+  CheckRoundTrip(sharded);
+  EXPECT_EQ(naive.Serialize(), sharded.Serialize());
 }
 
 TEST(PlanIoTest, RoundTripEmptyAndTinyPlans) {
@@ -118,7 +112,7 @@ TEST(PlanIoTest, RoundTripDeltaPatchedPlanWithArenaSlack) {
 }
 
 TEST(PlanIoTest, RejectsBadMagicAndVersion) {
-  const PartitionPlan plan = MakePlan(SampleBatch(256, 1), MakeClusterA(2), true, nullptr);
+  const PartitionPlan plan = MakePlan(SampleBatch(256, 1), MakeClusterA(2), true);
   std::string bytes = plan.Serialize();
   PartitionPlan decoded;
 
@@ -135,7 +129,7 @@ TEST(PlanIoTest, RejectsBadMagicAndVersion) {
 }
 
 TEST(PlanIoTest, RejectsTruncationAtEveryBoundary) {
-  const PartitionPlan plan = MakePlan(SampleBatch(512, 2), MakeClusterA(2), true, nullptr);
+  const PartitionPlan plan = MakePlan(SampleBatch(512, 2), MakeClusterA(2), true);
   const std::string bytes = plan.Serialize();
   PartitionPlan decoded;
   // Chop inside the counts, inside the headers, inside the arena, and just
@@ -150,7 +144,7 @@ TEST(PlanIoTest, RejectsTruncationAtEveryBoundary) {
 }
 
 TEST(PlanIoTest, RejectsCorruptedHeaderSpan) {
-  const PartitionPlan plan = MakePlan(RingHeavyBatch(512, 3), MakeClusterA(16), true, nullptr);
+  const PartitionPlan plan = MakePlan(RingHeavyBatch(512, 3), MakeClusterA(16), true);
   ASSERT_FALSE(plan.intra_node.empty());
   std::string bytes = plan.Serialize();
   // First intra_node header's rank_offset lives right after the inter_node
@@ -167,7 +161,7 @@ TEST(PlanIoTest, RejectsCorruptedHeaderSpan) {
 }
 
 TEST(PlanIoTest, RejectsAlteredPayloadViaDigest) {
-  const PartitionPlan plan = MakePlan(RingHeavyBatch(512, 4), MakeClusterA(16), true, nullptr);
+  const PartitionPlan plan = MakePlan(RingHeavyBatch(512, 4), MakeClusterA(16), true);
   ASSERT_FALSE(plan.rank_arena.empty());
   std::string bytes = plan.Serialize();
   // Flip one arena rank (structurally valid — ranks are not bounds-checked
@@ -193,7 +187,7 @@ TEST(PlanIoTest, RejectsOutOfUniverseRanks) {
   // so the digest trailer matches — only the rank-universe check (against
   // the plan's own tokens_per_rank count) can reject it before it drives
   // EmitLayer out of bounds.
-  PartitionPlan plan = MakePlan(RingHeavyBatch(512, 9), MakeClusterA(16), true, nullptr);
+  PartitionPlan plan = MakePlan(RingHeavyBatch(512, 9), MakeClusterA(16), true);
   ASSERT_FALSE(plan.rank_arena.empty());
   PartitionPlan decoded;
 
@@ -210,7 +204,7 @@ TEST(PlanIoTest, RejectsOutOfUniverseRanks) {
 }
 
 TEST(PlanIoTest, RejectsTrailingGarbage) {
-  const PartitionPlan plan = MakePlan(SampleBatch(256, 5), MakeClusterA(2), true, nullptr);
+  const PartitionPlan plan = MakePlan(SampleBatch(256, 5), MakeClusterA(2), true);
   std::string bytes = plan.Serialize();
   bytes += "extra";
   PartitionPlan decoded;
@@ -220,7 +214,7 @@ TEST(PlanIoTest, RejectsTrailingGarbage) {
 TEST(PlanIoTest, RejectsHugeCountsWithoutAllocating) {
   // A corrupted count field must read as truncation (payload is the
   // authority), not drive a giant resize.
-  std::string bytes = MakePlan(SampleBatch(64, 6), MakeClusterA(1), true, nullptr).Serialize();
+  std::string bytes = MakePlan(SampleBatch(64, 6), MakeClusterA(1), true).Serialize();
   const uint64_t huge = ~uint64_t{0} / 4;
   std::memcpy(bytes.data() + 8 + 24, &huge, sizeof(huge));  // arena_count slot.
   PartitionPlan decoded;
@@ -228,7 +222,7 @@ TEST(PlanIoTest, RejectsHugeCountsWithoutAllocating) {
 }
 
 TEST(PlanIoTest, FileRoundTripAndIoErrors) {
-  const PartitionPlan plan = MakePlan(SampleBatch(512, 7), MakeClusterB(2), true, nullptr);
+  const PartitionPlan plan = MakePlan(SampleBatch(512, 7), MakeClusterB(2), true);
   const std::string path = ::testing::TempDir() + "/plan_io_test.zpln";
   ASSERT_TRUE(SavePlanFile(path, plan).ok());
   PartitionPlan loaded;
@@ -241,7 +235,7 @@ TEST(PlanIoTest, FileRoundTripAndIoErrors) {
 }
 
 TEST(PlanIoTest, DeserializeMemberMirrorsParse) {
-  const PartitionPlan plan = MakePlan(SampleBatch(256, 8), MakeClusterA(2), true, nullptr);
+  const PartitionPlan plan = MakePlan(SampleBatch(256, 8), MakeClusterA(2), true);
   PartitionPlan decoded;
   EXPECT_TRUE(decoded.Deserialize(plan.Serialize()));
   EXPECT_TRUE(decoded == plan);

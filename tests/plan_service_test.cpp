@@ -1,11 +1,10 @@
 // PlannerService (src/core/plan_service.h): stateless plans byte-identical
-// to the direct partitioner at every engine/thread setting, immutable handle
-// semantics (stable across later requests, storage recycling never aliases a
-// live handle), the multi-stream session table (independent per-stream
-// state and fallback policies, per-stream twin-digest determinism), and the
+// to the direct partitioner on both engines, immutable handle semantics
+// (stable across later requests, storage recycling never aliases a live
+// handle), the multi-stream session table (independent per-stream state and
+// fallback policies, per-stream twin-digest determinism), and the
 // concurrency contract (N streams driven from N threads through one service
-// over a shared pool — the TSAN target, see the sanitizer recipe in
-// CMakeLists.txt).
+// — the TSAN target, see the sanitizer recipe in CMakeLists.txt).
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -73,24 +72,21 @@ TEST(PlanServiceTest, StatelessByteIdenticalToDirectPartitionerAtEverySetting) {
   const PartitionPlan reference = direct.Partition(batch);
 
   struct Setting {
-    int threads;
     bool fast_path;
     PlanEngine expect;
   };
   const std::vector<Setting> settings = {
-      {0, false, PlanEngine::kNaive},          {0, true, PlanEngine::kSerialFast},
-      {1, true, PlanEngine::kParallelSharded}, {2, true, PlanEngine::kParallelSharded},
-      {4, true, PlanEngine::kParallelSharded},
+      {false, PlanEngine::kNaive},
+      {true, PlanEngine::kParallelSharded},
   };
+  PlannerService service;
   for (const Setting& setting : settings) {
-    PlannerService service(PlanServiceOptions{.num_planner_threads = setting.threads});
     PlanRequest request = rig.Request(batch);
     request.options.token_capacity = capacity;
     request.options.planner_fast_path = setting.fast_path;
     const PlanResponse response = service.Plan(request);
     ASSERT_NE(response.plan, nullptr);
-    EXPECT_TRUE(*response.plan == reference)
-        << "threads=" << setting.threads << " fast=" << setting.fast_path;
+    EXPECT_TRUE(*response.plan == reference) << "fast=" << setting.fast_path;
     EXPECT_EQ(response.stats.engine, setting.expect);
     EXPECT_EQ(response.digest, reference.StateDigest());
     EXPECT_EQ(response.stats.token_capacity, capacity);
@@ -117,7 +113,7 @@ TEST(PlanServiceTest, GlobalRingLayout) {
 
 TEST(PlanServiceTest, HandlesAreImmutableAcrossLaterRequestsAndRecycling) {
   TestRig rig;
-  PlannerService service(PlanServiceOptions{.num_planner_threads = 0, .plan_pool_limit = 2});
+  PlannerService service(PlanServiceOptions{.plan_pool_limit = 2});
   const Batch first = SampleBatch(512, 1);
   PlanResponse kept = service.Plan(rig.Request(first));
   const uint64_t kept_digest = kept.digest;
@@ -321,19 +317,19 @@ std::vector<std::vector<uint64_t>> DriveStreams(PlannerService& service, const T
 
 TEST(PlanServiceTest, ConcurrentMultiStreamSoakIsDeterministicPerStream) {
   // The headline contract: N interleaved streams from N threads through one
-  // service (sharing its pool for fallback re-plans) produce, per stream,
+  // service (fallback re-plans included) produce, per stream,
   // exactly the digest sequence a serial twin run produces. Run under TSAN
   // via the sanitizer recipe (plan_service is in the regex).
   constexpr int kStreams = 4;
   constexpr int kIters = 25;
   TestRig rig;
 
-  PlannerService concurrent(PlanServiceOptions{.num_planner_threads = 2});
+  PlannerService concurrent;
   const std::vector<std::vector<uint64_t>> threaded =
       DriveStreams(concurrent, rig, kStreams, kIters, /*threaded=*/true);
   EXPECT_EQ(concurrent.session_count(), static_cast<size_t>(kStreams));
 
-  PlannerService serial(PlanServiceOptions{.num_planner_threads = 0});
+  PlannerService serial;
   const std::vector<std::vector<uint64_t>> reference =
       DriveStreams(serial, rig, kStreams, kIters, /*threaded=*/false);
 
@@ -347,7 +343,7 @@ TEST(PlanServiceTest, ConcurrentMultiStreamSoakIsDeterministicPerStream) {
 
 TEST(PlanServiceTest, ConcurrentStatelessAndSessionTrafficCoexist) {
   TestRig rig;
-  PlannerService service(PlanServiceOptions{.num_planner_threads = 2});
+  PlannerService service;
   const Batch batch = SampleBatch(512, 0xd00d);
   const uint64_t expect = service.Plan(rig.Request(batch)).digest;
 
@@ -385,7 +381,7 @@ TEST(PlanServiceTest, ZeppelinStrategyIsAThinAdapter) {
   EXPECT_TRUE(*handle == strategy.partition_plan());
   const uint64_t first_digest = handle->StateDigest();
 
-  PlannerService service(PlanServiceOptions{.num_planner_threads = 1});
+  PlannerService service;
   PlanRequest request = rig.Request(batch);
   const PlanResponse response = service.Plan(request);
   EXPECT_TRUE(*response.plan == *handle);
@@ -398,7 +394,7 @@ TEST(PlanServiceTest, ZeppelinStrategyIsAThinAdapter) {
 
 TEST(PlanServiceTest, SharedServiceAcrossStrategiesWithDistinctStreams) {
   TestRig rig;
-  auto shared = std::make_shared<PlannerService>(PlanServiceOptions{.num_planner_threads = 1});
+  auto shared = std::make_shared<PlannerService>();
   ZeppelinOptions a_opts;
   a_opts.service = shared;
   a_opts.stream_id = "a";

@@ -64,9 +64,7 @@ struct DaemonRig {
   PlannerService local;
   PlannerDaemon daemon;
 
-  explicit DaemonRig(DaemonOptions options = {})
-      : local(PlanServiceOptions{.num_planner_threads = options.planner_threads}),
-        daemon(model, cluster, options) {
+  explicit DaemonRig(DaemonOptions options = {}) : daemon(model, cluster, options) {
     std::string error;
     if (!daemon.Start(&error)) {
       ADD_FAILURE() << "daemon start failed: " << error;
@@ -129,8 +127,7 @@ TEST(PlannerDaemonTest, StatelessByteIdentityAcrossEngines) {
   // Cache off: the engine cases below deliberately share one cache key
   // (their plans are byte-identical, which is exactly why the key ignores
   // engine-selection knobs), and this test wants every engine to *run*.
-  DaemonRig rig(DaemonOptions{
-      .planner_threads = 4, .max_concurrent_plans = 4, .plan_cache = false});
+  DaemonRig rig(DaemonOptions{.max_concurrent_plans = 4, .plan_cache = false});
   PlanClient client = rig.Client();
   const Batch batch = SampleBatch(512, 7);
 
@@ -140,8 +137,7 @@ TEST(PlannerDaemonTest, StatelessByteIdentityAcrossEngines) {
   };
   const EngineCase cases[] = {
       {"naive", {.planner_fast_path = false}},
-      {"serial", {.use_shared_pool = false}},
-      {"pooled", {}},
+      {"sharded", {}},
       {"global-ring", {.hierarchical_partitioning = false}},
   };
   for (const EngineCase& c : cases) {
@@ -675,9 +671,7 @@ TEST(PlannerDaemonTest, CacheOffPlansEveryRequest) {
 TEST(PlannerDaemonTest, StatsRequestUnderLoad) {
   // kStats answers consistently while plan traffic is in flight: it takes no
   // admission permit, so it cannot be shed behind the planners it observes.
-  DaemonRig rig(DaemonOptions{.planner_threads = 2,
-                              .max_concurrent_plans = 2,
-                              .plan_cache = false});
+  DaemonRig rig(DaemonOptions{.max_concurrent_plans = 2, .plan_cache = false});
   constexpr int kClients = 4;
   constexpr int kPlansPerClient = 6;
   std::atomic<int> planned{0};

@@ -133,7 +133,9 @@ TEST_F(SimEngineTest, NoDeadlockOnInterleavedMultiResourceTasks) {
     t.duration_us = 1.0;
     t.category = TaskCategory::kIntraComm;
     t.resources = (i % 2 == 0) ? std::vector<ResourceId>{a, b} : std::vector<ResourceId>{b, a};
-    t.label = "t" + std::to_string(i);
+    std::string label = "t";  // Appended, not `"t" + ...`: GCC 12 -Wrestrict.
+    label += std::to_string(i);
+    t.label = std::move(label);
     g.AddTransferLike(std::move(t));
   }
   const SimResult r = engine_.Run(g);  // ZCHECK inside fails on deadlock.

@@ -4,6 +4,8 @@
 // legal (dependencies honored, resources exclusive, FIFO respected).
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "src/baselines/hybrid_dp.h"
 #include "src/baselines/llama_cp.h"
 #include "src/baselines/te_cp.h"
@@ -15,6 +17,14 @@
 
 namespace zeppelin {
 namespace {
+
+// Task label "<prefix><i>", built by appends (GCC 12 flags
+// `"literal" + std::string` with a false -Wrestrict).
+std::string Label(char prefix, int i) {
+  std::string label(1, prefix);
+  label += std::to_string(i);
+  return label;
+}
 
 TEST(ValidateTest, AcceptsLegalSchedule) {
   const FabricResources fabric(MakeClusterA(1));
@@ -90,15 +100,14 @@ TEST_P(EngineFuzzTest, RandomDagsProduceLegalSchedules) {
     if (kind == 0) {
       const int gpu = static_cast<int>(rng.NextBounded(cluster.world_size()));
       g.AddCompute(fabric.ComputeLane(gpu), 1.0 + static_cast<double>(rng.NextBounded(50)),
-                   TaskCategory::kAttentionCompute, std::move(deps), "c" + std::to_string(i),
-                   gpu);
+                   TaskCategory::kAttentionCompute, std::move(deps), Label('c', i), gpu);
     } else if (kind == 1) {
       const int src = static_cast<int>(rng.NextBounded(cluster.world_size()));
       const int dst = static_cast<int>(rng.NextBounded(cluster.world_size()));
       g.AddTransfer(fabric.Resolve(src, dst), 1 + static_cast<int64_t>(rng.NextBounded(1 << 22)),
-                    TaskCategory::kIntraComm, std::move(deps), "x" + std::to_string(i), src);
+                    TaskCategory::kIntraComm, std::move(deps), Label('x', i), src);
     } else {
-      g.AddBarrier(std::move(deps), "b" + std::to_string(i));
+      g.AddBarrier(std::move(deps), Label('b', i));
     }
   }
 

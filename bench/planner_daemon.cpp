@@ -8,11 +8,15 @@
 // Arms:
 //   - in-process: one thread calling PlannerService::Plan directly
 //     (zero-copy, no sockets) — the floor.
-//   - daemon at {1, 16, 64} concurrent clients: each client is one TCP
+//   - daemon at {1, 4, 16, 64} concurrent clients: each client is one TCP
 //     connection issuing stateless plan requests back-to-back; p50/p99 are
 //     client-observed round-trip latencies.
 //   - overload: 1 permit + queue_limit=4 + a fixed debug plan delay, hammered
-//     by 16 impatient clients. Reports the shed rate and checks admitted
+//     by 16 impatient clients.
+// Every request repeats one batch, so both daemons run with the plan cache
+// off: with it on, every request after the first is an exact hit that skips
+// planning and the admission gate, and the arms would time cache hits and
+// sockets against an in-process floor that plans every request. Reports the shed rate and checks admitted
 //     p99 <= (queue_limit + 2) * plan_delay — the bounded-queue guarantee
 //     (an unbounded queue would grow the tail with offered load).
 //
@@ -72,15 +76,15 @@ int main(int argc, char** argv) {
   const bool quick = bench::QuickMode(argc, argv);
   const int num_seqs = quick ? 512 : 2048;
   const int iters_per_client = quick ? 20 : 120;
-  const std::vector<int> client_counts = {1, 16, 64};
+  const std::vector<int> client_counts = {1, 4, 16, 64};
 
   const TransformerConfig model = MakeLlama3B();
   const ClusterSpec cluster = MakeClusterA(2);
   const Batch batch = SampleBenchBatch(num_seqs);
 
   bench::PrintHeader("Planner daemon — served plans/s and tail latency (3B, Cluster A)");
-  std::printf("S=%d per request, %d requests per client, stateless\n\n", num_seqs,
-              iters_per_client);
+  std::printf("S=%d per request, %d requests per client, stateless, plan cache off\n\n",
+              num_seqs, iters_per_client);
 
   // --- In-process floor -----------------------------------------------------
   FabricResources fabric(cluster);
@@ -111,6 +115,7 @@ int main(int argc, char** argv) {
   daemon_options.max_concurrent_plans =
       std::max(4u, std::thread::hardware_concurrency() / 2);
   daemon_options.queue_limit = 4096;  // Throughput arms must not shed.
+  daemon_options.plan_cache = false;
   net::PlannerDaemon daemon(model, cluster, daemon_options);
   std::string error;
   if (!daemon.Start(&error)) {
@@ -174,6 +179,7 @@ int main(int argc, char** argv) {
   overload_options.max_concurrent_plans = 1;
   overload_options.queue_limit = overload_queue_limit;
   overload_options.debug_plan_delay_ms = plan_delay_ms;
+  overload_options.plan_cache = false;
   net::PlannerDaemon overloaded(model, cluster, overload_options);
   if (!overloaded.Start(&error)) {
     std::fprintf(stderr, "overload daemon start failed: %s\n", error.c_str());

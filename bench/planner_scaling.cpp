@@ -4,10 +4,12 @@
 // The paper's premise (§3.1) is that two-level sequence partitioning is cheap
 // enough to run every iteration on the global batch. This harness sweeps the
 // batch size S and the cluster size P over the Table 2 length distributions
-// and times ZeppelinStrategy::Plan() (surfaced as partition_time_us) per
-// engine: the reference linear-scan greedy ("naive", the seed algorithm) and
-// the production engine. Both plans are verified bit-identical at every
-// point — the determinism contract of partitioner.h.
+// and times the partitioning step per engine: the production engine through
+// ZeppelinStrategy::Plan() (surfaced as partition_time_us), and the reference
+// linear-scan greedy ("naive", the seed algorithm, kept as the test oracle)
+// through SequencePartitioner directly at the capacity the strategy derived.
+// Both plans are verified bit-identical at every point — the determinism
+// contract of partitioner.h.
 //
 // Each point also times the *materialization* cost of the flat plan layout:
 // building a fresh plan's ring storage (headers + rank arena) from the
@@ -29,6 +31,7 @@
 #include "bench/bench_util.h"
 #include "src/common/rng.h"
 #include "src/common/table.h"
+#include "src/core/partitioner.h"
 #include "src/model/transformer.h"
 #include "src/topology/cluster.h"
 
@@ -82,33 +85,38 @@ int main(int argc, char** argv) {
           batch.seq_lens.push_back(dist.Sample(rng));
         }
 
-        ZeppelinOptions naive_opts;
-        naive_opts.planner_fast_path = false;
-        ZeppelinStrategy naive(naive_opts);
         ZeppelinStrategy production;
+        production.Plan(batch, trainer.cost_model(), trainer.fabric());
+        SequencePartitioner naive(
+            trainer.fabric().cluster(),
+            {.token_capacity = production.last_plan_stats().token_capacity, .fast_path = false});
+        PlannerScratch naive_scratch;
+        PartitionPlan naive_plan;
 
+        using clock = std::chrono::steady_clock;
         std::vector<double> naive_times;
         std::vector<double> times;
         for (int r = 0; r < reps + 1; ++r) {
-          naive.Plan(batch, trainer.cost_model(), trainer.fabric());
+          const auto t0 = clock::now();
+          naive.Partition(batch, &naive_scratch, &naive_plan);
+          const auto t1 = clock::now();
           production.Plan(batch, trainer.cost_model(), trainer.fabric());
           if (r == 0) {
             continue;  // Warmup: both arms grow their buffers untimed.
           }
-          naive_times.push_back(naive.partition_time_us());
+          naive_times.push_back(std::chrono::duration<double, std::micro>(t1 - t0).count());
           times.push_back(production.partition_time_us());
         }
         const double naive_us = median(naive_times);
         const double plan_us = median(times);
         const double speedup = plan_us > 0 ? naive_us / plan_us : 0;
-        const bool point_identical = naive.partition_plan() == production.partition_plan();
+        const bool point_identical = naive_plan == production.partition_plan();
         all_identical = all_identical && point_identical;
 
         // Materialization: a from-scratch copy of the plan's ring storage.
         const PartitionPlan& src = production.partition_plan();
         std::vector<double> mat_times;
         [[maybe_unused]] static volatile size_t sink;  // Keeps materializations observable.
-        using clock = std::chrono::steady_clock;
         for (int r = 0; r < reps + 1; ++r) {
           const auto t0 = clock::now();
           {

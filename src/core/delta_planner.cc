@@ -9,8 +9,6 @@
 
 namespace zeppelin {
 
-using planner_internal::RecordChunkAggregate;
-
 const char* DeltaOutcomeName(DeltaOutcome outcome) {
   switch (outcome) {
     case DeltaOutcome::kApplied:
@@ -45,7 +43,6 @@ DeltaPlanner::DeltaPlanner(const ClusterSpec& cluster, DeltaPlannerOptions optio
                        .token_capacity = options.token_capacity,
                        .max_inter_threshold = options.max_inter_threshold,
                        .max_local_threshold = options.max_local_threshold,
-                       .fast_path = options.fast_path,
                    }) {
   cluster_.Validate();
   ZCHECK_GT(options_.token_capacity, 0);
@@ -99,7 +96,6 @@ void DeltaPlanner::RebaseInternal() {
       .token_capacity = options_.token_capacity,
       .max_inter_threshold = options_.max_inter_threshold,
       .max_local_threshold = options_.max_local_threshold,
-      .fast_path = options_.fast_path,
   });
   partitioner_.Partition(batch_, &scratch_, &plan_);
   CaptureState();
@@ -117,20 +113,9 @@ void DeltaPlanner::CaptureState() {
   }
   base_refined_ = plan_.threshold_s1 < s1_initial_;
 
-  // Inter-node chunk aggregates: the sharded engine leaves them in the
-  // scratch; the naive reference leaves per-node chunk lists instead.
-  if (options_.fast_path) {
-    chunk_whole_ = scratch_.node_chunk_whole;
-    chunk_rem_ = scratch_.node_chunk_rem;
-  } else {
-    chunk_whole_.assign(num_nodes, 0);
-    chunk_rem_.assign(static_cast<size_t>(num_nodes) * p, 0);
-    for (int node = 0; node < num_nodes; ++node) {
-      for (const auto& [seq_id, chunk] : scratch_.assignments[node].inter_chunks) {
-        RecordChunkAggregate(node, chunk, p, &chunk_whole_, &chunk_rem_);
-      }
-    }
-  }
+  // Inter-node chunk aggregates, as the sharded engine left them.
+  chunk_whole_ = scratch_.node_chunk_whole;
+  chunk_rem_ = scratch_.node_chunk_rem;
 
   locations_.assign(n, SeqLocation{});
   slot_epoch_.assign(n, 0);
@@ -529,7 +514,7 @@ DeltaOutcome DeltaPlanner::Apply(const BatchDelta& delta) {
   }
 
   for (int node : dirty_nodes_) {
-    RepackNodeDispatch(node);
+    stats_.repacked_nodes += RepackNode(node) ? 1 : 0;
   }
   MaybeCompact();
 
@@ -544,140 +529,6 @@ DeltaOutcome DeltaPlanner::Apply(const BatchDelta& delta) {
   ++stats_.applied;
   stats_.patched_sequences += delta.size();
   return DeltaOutcome::kApplied;
-}
-
-// --- Dirty-node intra-node re-run (Alg. 2) ----------------------------------
-
-void DeltaPlanner::RepackNode(int node) {
-  const int p = cluster_.gpus_per_node;
-  const int rank_base = node * p;
-  const int64_t capacity = options_.token_capacity;
-  std::vector<int>& members = node_members_[node];
-  ++stats_.repacked_nodes;
-
-  // Evict every member's current plan entry; pending members have none.
-  // Loads need no arithmetic here: the re-run rebuilds this node's device
-  // loads from the chunk base, and node membership (hence the node total the
-  // inter-node packing sees) is unchanged by an intra re-run.
-  for (int slot : members) {
-    SeqLocation& loc = locations_[slot];
-    switch (loc.kind) {
-      case SeqLocation::Kind::kIntraRing:
-        FreeRingSpan(plan_.intra_node[loc.pos]);
-        RemoveIntraHeaderAt(loc.pos);
-        break;
-      case SeqLocation::Kind::kLocal:
-        RemoveLocalAt(loc.pos);
-        break;
-      case SeqLocation::Kind::kPending:
-        break;
-      case SeqLocation::Kind::kZ2Ring:
-      case SeqLocation::Kind::kNone:
-        ZCHECK(false) << "invalid member state on node " << node;
-    }
-    loc.kind = SeqLocation::Kind::kPending;
-  }
-
-  // Alg. 2 packing order: length-descending, id-ascending.
-  std::sort(members.begin(), members.end(), [&](int a, int b) {
-    const int64_t la = batch_.seq_lens[a];
-    const int64_t lb = batch_.seq_lens[b];
-    return la != lb ? la > lb : a < b;
-  });
-  for (uint32_t i = 0; i < members.size(); ++i) {
-    locations_[members[i]].member_pos = i;
-  }
-
-  // Device base loads from the persistent inter-chunk aggregates — the same
-  // expansion every intra-stage consumer shares.
-  planner_internal::ExpandChunkBase(chunk_whole_, chunk_rem_, node, p, &chunk_base_);
-
-  const int n = static_cast<int>(members.size());
-  int64_t s0 = capacity;
-  if (options_.max_local_threshold > 0) {
-    s0 = std::min(s0, options_.max_local_threshold);
-  }
-  int boundary = static_cast<int>(
-      std::partition_point(members.begin(), members.end(),
-                           [&](int slot) { return batch_.seq_lens[slot] >= s0; }) -
-      members.begin());
-
-  int restarts = 0;
-  for (;;) {
-    device_tracker_.Assign(chunk_base_);
-    ring_buf_.clear();
-    z0_buf_.clear();
-    z1_buf_.clear();
-
-    // The shared Alg. 2 fragmentation pass (identical cursor progression and
-    // fragment counts across every engine and this re-pack).
-    planner_internal::FragmentZone1(
-        boundary, p, [&](int i) { return batch_.seq_lens[members[i]]; },
-        [&](int i, int64_t len, int fragments, int cursor) {
-          ring_buf_.push_back({members[i], len, fragments, cursor});
-          planner_internal::ForEachFragment(
-              len, fragments, cursor, p,
-              [&](int /*f*/, int device, int64_t share) { device_tracker_.add(device, share); });
-        },
-        [&](int i, int64_t len, int device) {
-          z1_buf_.push_back({members[i], len, rank_base + device});
-          device_tracker_.add(device, len);
-        });
-
-    bool overflowed = false;
-    for (int i = boundary; i < n; ++i) {
-      const int slot = members[i];
-      const int64_t len = batch_.seq_lens[slot];
-      const int idx = device_tracker_.pack_min(len, capacity);
-      if (idx < 0) {
-        boundary = planner_internal::AdvanceZoneBoundary(
-            n, i, [&](int j) { return batch_.seq_lens[members[j]]; }, &s0);
-        overflowed = true;
-        break;
-      }
-      z0_buf_.push_back({slot, len, rank_base + idx});
-    }
-    if (!overflowed) {
-      break;
-    }
-    ZCHECK_LE(++restarts, n) << "delta intra-node restart chain exceeded its bound";
-  }
-
-  // Commit: rings into recycled or tail spans, locals appended (z0 first,
-  // then single-fragment z1 conversions — the engines' shared order).
-  for (const PendingRing& ring : ring_buf_) {
-    const uint32_t offset = AllocSpan(static_cast<uint32_t>(ring.fragments));
-    for (int f = 0; f < ring.fragments; ++f) {
-      plan_.rank_arena[offset + f] = rank_base + (ring.cursor_start + f) % p;
-    }
-    SeqLocation& loc = locations_[ring.slot];
-    loc.kind = SeqLocation::Kind::kIntraRing;
-    loc.pos = static_cast<uint32_t>(plan_.intra_node.size());
-    plan_.intra_node.push_back({ring.slot, ring.length, Zone::kIntraNode, offset,
-                                static_cast<uint32_t>(ring.fragments)});
-    live_ranks_ += static_cast<uint32_t>(ring.fragments);
-  }
-  auto commit_local = [&](const LocalSequence& seq) {
-    SeqLocation& loc = locations_[seq.seq_id];
-    loc.kind = SeqLocation::Kind::kLocal;
-    loc.pos = static_cast<uint32_t>(plan_.local.size());
-    plan_.local.push_back(seq);
-  };
-  for (const LocalSequence& seq : z0_buf_) {
-    commit_local(seq);
-  }
-  for (const LocalSequence& seq : z1_buf_) {
-    commit_local(seq);
-  }
-  int64_t device_total = 0;
-  for (int d = 0; d < p; ++d) {
-    const int64_t load = device_tracker_.load(d);
-    plan_.tokens_per_rank[rank_base + d] = load;
-    device_total += load;
-  }
-  ZCHECK_EQ(device_total, node_loads_.load(node))
-      << "intra re-run must conserve node " << node << " tokens";
-  plan_.threshold_s0[node] = s0;
 }
 
 // --- Elastic topology patching ------------------------------------------------
@@ -737,38 +588,6 @@ bool DeltaPlanner::NodeHasChunks(int node) const {
     }
   }
   return false;
-}
-
-bool DeltaPlanner::NodeClean(int node) const {
-  const int p = cluster_.gpus_per_node;
-  for (int d = 0; d < p; ++d) {
-    const int rank = node * p + d;
-    if (!topo_.alive[rank] || topo_.speed_q[rank] != kSpeedScale) {
-      return false;
-    }
-  }
-  return true;
-}
-
-void DeltaPlanner::RepackNodeDispatch(int node) {
-  if (NodeClean(node)) {
-    RepackNode(node);
-    return;
-  }
-  const int p = cluster_.gpus_per_node;
-  int alive = 0;
-  for (int d = 0; d < p; ++d) {
-    alive += topo_.alive[node * p + d] ? 1 : 0;
-  }
-  if (alive == 0) {
-    // Fully-dead nodes own no members or load by the time dirty nodes re-run
-    // (ApplyTopology migrated them off before dirtying).
-    ZCHECK(node_members_[node].empty()) << "dead node " << node << " still owns members";
-    ZCHECK_EQ(node_loads_.load(node), 0) << "dead node " << node << " still owns load";
-    return;
-  }
-  ++stats_.repacked_nodes;
-  RepackNodeElastic(node);
 }
 
 DeltaOutcome DeltaPlanner::ApplyTopology(const TopologyDelta& delta) {
@@ -896,7 +715,7 @@ DeltaOutcome DeltaPlanner::ApplyTopology(const TopologyDelta& delta) {
   }
 
   for (int node : dirty_nodes_) {
-    RepackNodeDispatch(node);
+    stats_.repacked_nodes += RepackNode(node) ? 1 : 0;
   }
   MaybeCompact();
 
@@ -909,9 +728,9 @@ DeltaOutcome DeltaPlanner::ApplyTopology(const TopologyDelta& delta) {
   return DeltaOutcome::kAppliedTopology;
 }
 
-// --- Elastic intra-node re-run (Alg. 2 over the alive devices) ----------------
+// --- Dirty-node intra-node re-run (Alg. 2 over the alive devices) ------------
 
-void DeltaPlanner::RepackNodeElastic(int node) {
+bool DeltaPlanner::RepackNode(int node) {
   const int p = cluster_.gpus_per_node;
   const int rank_base = node * p;
   const int64_t capacity = options_.token_capacity;
@@ -922,10 +741,20 @@ void DeltaPlanner::RepackNodeElastic(int node) {
     }
   }
   const int m = static_cast<int>(alive_buf_.size());
-  ZCHECK_GT(m, 0) << "elastic repack on a fully-dead node " << node;
   std::vector<int>& members = node_members_[node];
+  if (m == 0) {
+    // Fully-dead nodes own no members or load by the time they re-run:
+    // ApplyTopology migrates them off before dirtying, and re-plans never
+    // pack them.
+    ZCHECK(members.empty()) << "dead node " << node << " still owns members";
+    ZCHECK_EQ(node_loads_.load(node), 0) << "dead node " << node << " still owns load";
+    return false;
+  }
 
   // Evict every member's current plan entry; pending members have none.
+  // Loads need no arithmetic here: the re-run rebuilds this node's device
+  // loads from the chunk base, and node membership (hence the node total the
+  // inter-node packing sees) is unchanged by an intra re-run.
   for (int slot : members) {
     SeqLocation& loc = locations_[slot];
     switch (loc.kind) {
@@ -945,6 +774,7 @@ void DeltaPlanner::RepackNodeElastic(int node) {
     loc.kind = SeqLocation::Kind::kPending;
   }
 
+  // Alg. 2 packing order: length-descending, id-ascending.
   std::sort(members.begin(), members.end(), [&](int a, int b) {
     const int64_t la = batch_.seq_lens[a];
     const int64_t lb = batch_.seq_lens[b];
@@ -954,22 +784,16 @@ void DeltaPlanner::RepackNodeElastic(int node) {
     locations_[members[i]].member_pos = i;
   }
 
-  // Elastic chunk-base expansion: the aggregates were recorded with divisor
-  // m (ApplyTopology falls back before any liveness change on a chunk-
-  // carrying node, so the divisor always matches), and device d here is the
-  // d-th *alive* device. Buckets at r >= m must therefore be empty.
-  chunk_base_.resize(m);
+  // Device base loads from the persistent inter-chunk aggregates. They were
+  // recorded with divisor m (ApplyTopology falls back before any liveness
+  // change on a chunk-carrying node, so the divisor always matches), and
+  // device d here is the d-th *alive* device; buckets at r >= m must
+  // therefore be empty.
   for (int r = m; r < p; ++r) {
     ZCHECK_EQ(chunk_rem_[static_cast<size_t>(node) * p + r], 0)
         << "chunk aggregate divisor drift on node " << node;
   }
-  for (int d = 0; d < m; ++d) {
-    int64_t share = chunk_whole_[node];
-    for (int r = 1; r < m; ++r) {
-      share += chunk_rem_[static_cast<size_t>(node) * p + r] * ((d + 1) * r / m - d * r / m);
-    }
-    chunk_base_[d] = share;
-  }
+  planner_internal::ExpandChunkBase(chunk_whole_, chunk_rem_, node, p, m, &chunk_base_);
 
   const int n = static_cast<int>(members.size());
   int64_t s0 = capacity;
@@ -988,8 +812,9 @@ void DeltaPlanner::RepackNodeElastic(int node) {
     z0_buf_.clear();
     z1_buf_.clear();
 
-    // The shared Alg. 2 fragmentation pass with p -> m: fragments spread
-    // round-robin over the alive devices only.
+    // The shared Alg. 2 fragmentation pass (identical cursor progression and
+    // fragment counts across every engine and this re-pack) with p -> m:
+    // fragments spread round-robin over the alive devices only.
     planner_internal::FragmentZone1(
         boundary, m, [&](int i) { return batch_.seq_lens[members[i]]; },
         [&](int i, int64_t len, int fragments, int cursor) {
@@ -1004,9 +829,10 @@ void DeltaPlanner::RepackNodeElastic(int node) {
         });
 
     // z0: least *effective*-loaded alive device that still fits the raw
-    // capacity. (Differs from the homogeneous argmin-or-overflow pack_min by
-    // design: on a skewed fabric the argmin by effective load may be raw-
-    // full while another device still fits.)
+    // capacity, ties to the lowest index. On a clean node effective == raw
+    // load, so this is the engines' argmin-or-overflow rule (if the argmin
+    // does not fit, nothing does); on a skewed fabric the argmin by
+    // effective load may be raw-full while another device still fits.
     bool overflowed = false;
     for (int i = boundary; i < n; ++i) {
       const int slot = members[i];
@@ -1035,9 +861,11 @@ void DeltaPlanner::RepackNodeElastic(int node) {
     if (!overflowed) {
       break;
     }
-    ZCHECK_LE(++restarts, n) << "elastic intra-node restart chain exceeded its bound";
+    ZCHECK_LE(++restarts, n) << "delta intra-node restart chain exceeded its bound";
   }
 
+  // Commit: rings into recycled or tail spans, locals appended (z0 first,
+  // then single-fragment z1 conversions — the engines' shared order).
   for (const PendingRing& ring : ring_buf_) {
     const uint32_t offset = AllocSpan(static_cast<uint32_t>(ring.fragments));
     for (int f = 0; f < ring.fragments; ++f) {
@@ -1071,8 +899,9 @@ void DeltaPlanner::RepackNodeElastic(int node) {
     device_total += dev_raw_[d];
   }
   ZCHECK_EQ(device_total, node_loads_.load(node))
-      << "elastic intra re-run must conserve node " << node << " tokens";
+      << "intra re-run must conserve node " << node << " tokens";
   plan_.threshold_s0[node] = s0;
+  return true;
 }
 
 // --- Elastic full re-plan (degraded-fabric Alg. 1 + per-node Alg. 2) ---------
@@ -1297,11 +1126,7 @@ void DeltaPlanner::ElasticReplan() {
   }
   for (int node = 0; node < num_nodes; ++node) {
     plan_.threshold_s0[node] = s0_default;
-    if (node_alive_[node] == 0) {
-      ZCHECK(node_members_[node].empty()) << "dead node " << node << " was packed";
-      continue;
-    }
-    RepackNodeElastic(node);
+    RepackNode(node);  // Checks and skips fully-dead nodes.
   }
 
   live_count_ = 0;

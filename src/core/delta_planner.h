@@ -95,8 +95,6 @@ struct DeltaPlannerOptions {
   // full (elastic) re-plan instead (kRebasedMigration) — patching each
   // migrant individually would cost more than re-planning.
   int64_t migration_budget = 256;
-  // Engine selection for full re-plans, as in SequencePartitioner::Options.
-  bool fast_path = true;
 };
 
 // Why the last Apply()/ApplyTopology() patched or fell back (also counted in
@@ -139,8 +137,8 @@ struct DeltaStats {
 
 // Keeps a PartitionPlan and the planner state that produced it alive across
 // iterations, patching both in response to BatchDeltas. Not thread-safe; one
-// instance per planning thread (the full re-plans it issues may themselves
-// use the thread pool, like any Partition() call).
+// instance per planning thread (its full re-plans run on the caller's thread,
+// like any Partition() call).
 class DeltaPlanner {
  public:
   DeltaPlanner(const ClusterSpec& cluster, DeltaPlannerOptions options);
@@ -251,9 +249,6 @@ class DeltaPlanner {
   // keyed by the alive count they were recorded under, so liveness changes on
   // such a node are structural).
   bool NodeHasChunks(int node) const;
-  // True when every device of `node` is alive at nominal speed (the node
-  // qualifies for the byte-identical homogeneous repack path).
-  bool NodeClean(int node) const;
   DeltaOutcome ApplyViaRebase(const BatchDelta& delta, DeltaOutcome reason);
   DeltaOutcome FallBack(DeltaOutcome reason);  // Mid-patch: batch_ already new.
   void CountOutcome(DeltaOutcome reason);
@@ -273,19 +268,16 @@ class DeltaPlanner {
   void MarkDirty(int node);
   bool IsDirty(int node) const { return node_dirty_epoch_[node] == epoch_; }
 
-  // Re-runs the intra-node stage (Alg. 2) for one dirty node over its member
-  // list: evicts every member's plan entry, re-derives s0 from the pinned
-  // capacity, re-fragments z1 and re-packs z0, and emits into recycled or
-  // tail arena spans. Mirrors SequencePartitioner::PartitionIntraNodeSharded
-  // (shared fragment math via partitioner_internal.h).
-  void RepackNode(int node);
-  // Elastic variant for degraded nodes: fragments and packs over the node's
-  // m alive devices only (chunk math with p -> m), balancing z0 placement on
-  // speed-weighted effective loads. RepackNodeDispatch routes clean nodes to
-  // the byte-identical homogeneous path and skips fully-dead nodes (which by
-  // then own no members or load).
-  void RepackNodeElastic(int node);
-  void RepackNodeDispatch(int node);
+  // Re-runs the intra-node stage (Alg. 2) for one node over its member list
+  // and its m alive devices: evicts every member's plan entry, re-derives s0
+  // from the pinned capacity, re-fragments z1 round-robin over the alive
+  // devices (chunk math with p -> m), re-packs z0 on speed-weighted effective
+  // loads, and emits into recycled or tail arena spans. A clean node (all p
+  // devices alive at nominal speed) is the m = p case and reproduces
+  // SequencePartitioner's intra stage (shared fragment math via
+  // partitioner_internal.h). Returns false, doing nothing, on a fully-dead
+  // node (which by then owns no members or load).
+  bool RepackNode(int node);
 
   uint32_t AllocSpan(uint32_t count);
   void FreeRingSpan(const RingRef& ring);
@@ -328,14 +320,13 @@ class DeltaPlanner {
   std::vector<int> place_node_;  // Node chosen for each placed slot.
   GreedyPacker delta_packer_;
   std::vector<int64_t> loads_buf_;
-  LoadTracker device_tracker_;
   std::vector<int64_t> chunk_base_;
   std::vector<PendingRing> ring_buf_;
   std::vector<LocalSequence> z0_buf_;
   std::vector<LocalSequence> z1_buf_;
   std::vector<int> compact_buf_;
 
-  // Elastic scratch (RefreshNodeTopology output + repack/migration buffers).
+  // Topology scratch (RefreshNodeTopology output + re-pack/migration buffers).
   std::vector<int> node_alive_;       // Per node: alive device count m.
   std::vector<int64_t> node_rate_;    // Per node: sum of alive speed_q.
   std::vector<int> alive_buf_;        // One node's alive local device list.

@@ -31,9 +31,8 @@ inline int IntraNodeFragmentCount(double len, double c_avg, int p) {
 // Records one inter-node chunk of `chunk` tokens on `node` in the aggregate
 // form the intra stage consumes: the sum of whole per-device shares
 // floor(chunk/p) and a histogram of remainders chunk % p. Every producer (the
-// sharded engine, its re-label pass, and the delta planner's capture of a
-// naive plan) must encode chunks identically or the bit-identical-plans
-// contract breaks.
+// sharded engine and its re-label pass) must encode chunks identically or the
+// bit-identical-plans contract breaks.
 inline void RecordChunkAggregate(int node, int64_t chunk, int p, std::vector<int64_t>* whole,
                                  std::vector<int64_t>* rem) {
   const int64_t q = chunk / p;
@@ -42,17 +41,20 @@ inline void RecordChunkAggregate(int node, int64_t chunk, int p, std::vector<int
 }
 
 // Expands `node`'s recorded chunk aggregates into the exact per-device base
-// loads (the inter-node chunk spreading of Alg. 2 lines 4-6): the share of a
-// chunk q*p + r on device d is q + (floor((d+1)r/p) - floor(dr/p)). Every
-// intra-stage consumer (sharded engine, delta re-pack) must expand
-// identically.
+// loads (the inter-node chunk spreading of Alg. 2 lines 4-6) over the node's
+// m devices: the share of a chunk q*m + r on device d is
+// q + (floor((d+1)r/m) - floor(dr/m)). `stride` is the remainder histogram's
+// row width (gpus per node); m is the divisor the chunks were recorded with —
+// p for the sharded engine, the alive device count for the delta re-pack.
+// Every intra-stage consumer must expand identically.
 inline void ExpandChunkBase(const std::vector<int64_t>& whole, const std::vector<int64_t>& rem,
-                            int node, int p, std::vector<int64_t>* out) {
-  out->resize(p);
-  for (int d = 0; d < p; ++d) {
+                            int node, int stride, int m, std::vector<int64_t>* out) {
+  out->resize(m);
+  const int64_t* row = rem.data() + static_cast<size_t>(node) * stride;
+  for (int d = 0; d < m; ++d) {
     int64_t share = whole[node];
-    for (int r = 1; r < p; ++r) {
-      share += rem[node * p + r] * ((d + 1) * r / p - d * r / p);
+    for (int r = 1; r < m; ++r) {
+      share += row[r] * ((d + 1) * r / m - d * r / m);
     }
     (*out)[d] = share;
   }

@@ -329,7 +329,7 @@ void SequencePartitioner::PartitionIntraNodeSharded(int node, PlannerScratch* s)
 
   // Inter-node chunk spreading (lines 4-6) from the aggregates the inter
   // stage recorded; zone-independent, so hoisted out of the restart loop.
-  ExpandChunkBase(s->node_chunk_whole, s->node_chunk_rem, node, p, &slab.chunk_base);
+  ExpandChunkBase(s->node_chunk_whole, s->node_chunk_rem, node, p, p, &slab.chunk_base);
 
   int64_t s0 = capacity;  // Alg. 2 line 1.
   if (options_.max_local_threshold > 0) {

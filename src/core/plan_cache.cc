@@ -138,9 +138,8 @@ namespace {
 
 uint64_t OptionsSignature(const PlanningOptions& options) {
   // Only the options that change the *plan bytes* participate in the key:
-  // the engine-selection knob (planner_fast_path) is excluded by the
-  // byte-identity contract, and delta_replan_threshold only shapes
-  // session fallback policy, not the plan a given batch gets.
+  // delta_replan_threshold only shapes session fallback policy, not the plan
+  // a given batch gets.
   uint64_t h = kFnvOffset;
   h = FnvMix(h, static_cast<uint64_t>(options.token_capacity));
   h = FnvMix(h, options.hierarchical_partitioning ? 1 : 0);
@@ -441,9 +440,8 @@ PlanResponse PlanCache::PlanAndInsert(const PlanRequest& request, const PlanCach
   if (!Cacheable(request)) {
     return Plan(request);
   }
-  const bool family_eligible = options_.near_match &&
-                               request.options.hierarchical_partitioning &&
-                               request.options.planner_fast_path;
+  const bool family_eligible =
+      options_.near_match && request.options.hierarchical_partitioning;
   PlanResponse response;
   bool near_match = false;
   if (family_eligible) {

@@ -22,8 +22,6 @@ double ElapsedUs(Clock::time_point start) {
 
 const char* PlanEngineName(PlanEngine engine) {
   switch (engine) {
-    case PlanEngine::kNaive:
-      return "naive";
     case PlanEngine::kElastic:
       return "elastic";
     case PlanEngine::kParallelSharded:
@@ -171,7 +169,6 @@ PlanResponse PlannerService::PlanStateless(const PlanRequest& request) {
 
   SequencePartitioner::Options popts;
   popts.token_capacity = DeriveCapacity(batch, *request.cost_model, spec, request.options);
-  popts.fast_path = request.options.planner_fast_path;
   if (request.options.zone_aware_thresholds) {
     const ZoneBoundaries zones = CachedZones(*request.cost_model, spec);
     popts.max_inter_threshold = zones.intra_max;
@@ -205,8 +202,7 @@ PlanResponse PlannerService::PlanStateless(const PlanRequest& request) {
   response.stats.partition_time_us = ElapsedUs(start);
   response.stats.stage_us[static_cast<int>(obs::Stage::kPlan)] =
       response.stats.partition_time_us;
-  response.stats.engine =
-      request.options.planner_fast_path ? PlanEngine::kParallelSharded : PlanEngine::kNaive;
+  response.stats.engine = PlanEngine::kParallelSharded;
   response.stats.token_capacity = popts.token_capacity;
   response.stats.session_count = session_count();
 
@@ -238,9 +234,8 @@ std::shared_ptr<PlannerService::Session> PlannerService::FindSession(
 }
 
 PlanResponse PlannerService::PlanSession(const PlanRequest& request) {
-  ZCHECK(request.options.hierarchical_partitioning && request.options.planner_fast_path)
-      << "delta sessions require hierarchical partitioning on the fast path "
-         "(stream " << request.stream_id << ")";
+  ZCHECK(request.options.hierarchical_partitioning)
+      << "delta sessions require hierarchical partitioning (stream " << request.stream_id << ")";
   const Batch& batch = *request.batch;
   const ClusterSpec& spec = request.fabric->cluster();
   const std::shared_ptr<Session> session = FindOrCreateSession(request.stream_id);
@@ -268,7 +263,6 @@ PlanResponse PlannerService::PlanSession(const PlanRequest& request) {
       dopts.max_local_threshold = zones.local_max;
     }
     dopts.replan_threshold = request.options.delta_replan_threshold;
-    dopts.fast_path = true;
     if (!session->planner || !(session->planner->cluster() == spec)) {
       session->planner.emplace(spec, dopts);
     } else {

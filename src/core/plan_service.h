@@ -75,8 +75,6 @@ struct PlanningOptions {
   // Zone-aware threshold initialization (design ablation D6); boundaries are
   // computed once per (model, cluster) and cached inside the service.
   bool zone_aware_thresholds = false;
-  // false forces the reference linear-scan greedy engine.
-  bool planner_fast_path = true;
   // Streaming fallback knob (sessions only): full re-plan above this churn
   // fraction or imbalance drift (DeltaPlannerOptions::replan_threshold).
   double delta_replan_threshold = 0.05;
@@ -103,10 +101,11 @@ struct PlanRequest {
   const TopologyDelta* topology = nullptr;
 };
 
-// Which engine produced the response's plan.
+// Which engine produced the response's plan. Value 0 is retired (the naive
+// reference engine, which only tests select, through SequencePartitioner)
+// and never reported; every other value keeps its wire number.
 enum class PlanEngine : uint8_t {
-  kNaive = 0,        // Reference linear-scan greedy.
-  kElastic,          // Session rebase on a degraded fabric (elastic re-plan).
+  kElastic = 1,      // Session rebase on a degraded fabric (elastic re-plan).
   kParallelSharded,  // Sharded production engine.
   kDeltaPatch,       // Session request patched incrementally.
   kGlobalRing,       // hierarchical_partitioning = false ablation layout.

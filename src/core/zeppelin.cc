@@ -39,7 +39,6 @@ PlanningOptions ZeppelinStrategy::BuildPlanningOptions() const {
   popts.token_capacity = options_.token_capacity;
   popts.hierarchical_partitioning = options_.hierarchical_partitioning;
   popts.zone_aware_thresholds = options_.zone_aware_thresholds;
-  popts.planner_fast_path = options_.planner_fast_path;
   popts.delta_replan_threshold = options_.delta_replan_threshold;
   return popts;
 }
@@ -74,8 +73,8 @@ void ZeppelinStrategy::Plan(const Batch& batch, const CostModel& cost_model,
 void ZeppelinStrategy::PlanDelta(const Batch& batch, const BatchDelta& delta,
                                  const CostModel& cost_model, const FabricResources& fabric,
                                  const TopologyDelta* topology) {
-  if (!options_.hierarchical_partitioning || !options_.planner_fast_path) {
-    // The delta session patches the hierarchical fast-path state; without it
+  if (!options_.hierarchical_partitioning) {
+    // The delta session patches the hierarchical planner state; without it
     // streaming degenerates to per-iteration full planning.
     Plan(batch, cost_model, fabric);
     return;

@@ -52,11 +52,6 @@ struct ZeppelinOptions {
   // smaller rings even when memory would allow bigger ones.
   bool zone_aware_thresholds = false;
 
-  // Selects the sharded production planner engine (bit-identical plans);
-  // false forces the reference linear-scan greedy. Exposed so the
-  // planner-scaling bench can measure both on the same code base.
-  bool planner_fast_path = true;
-
   // Streaming (PlanDelta) fallback knob: the delta planner re-plans from
   // scratch when the churn fraction exceeds this, or when the patched plan's
   // token imbalance drifts more than this above the last full re-plan's

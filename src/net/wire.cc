@@ -17,13 +17,12 @@ constexpr uint32_t kMaxMessageBytes = 4096;
 
 constexpr uint8_t kOptHierarchical = 1u << 0;
 constexpr uint8_t kOptZoneAware = 1u << 1;
-constexpr uint8_t kOptFastPath = 1u << 2;
-// Bit 3 once selected a shared planner thread pool. There is one engine now;
-// the bit is always written set (what every default request carried) and
-// ignored on parse, so old and new peers exchange the same bytes.
-constexpr uint8_t kOptSharedPool = 1u << 3;
-constexpr uint8_t kOptKnownMask =
-    kOptHierarchical | kOptZoneAware | kOptFastPath | kOptSharedPool;
+// Bits 2 and 3 once selected the planner engine (production vs the naive
+// reference) and a shared planner thread pool. There is one serving engine
+// now; both bits are always written set (what every default request carried)
+// and ignored on parse, so old and new peers exchange the same bytes.
+constexpr uint8_t kOptRetired = (1u << 2) | (1u << 3);
+constexpr uint8_t kOptKnownMask = kOptHierarchical | kOptZoneAware | kOptRetired;
 
 WireStatus Malformed(std::string* error, const char* what) {
   if (error != nullptr) {
@@ -33,10 +32,9 @@ WireStatus Malformed(std::string* error, const char* what) {
 }
 
 uint8_t OptionFlags(const PlanningOptions& options) {
-  uint8_t flags = kOptSharedPool;
+  uint8_t flags = kOptRetired;
   if (options.hierarchical_partitioning) flags |= kOptHierarchical;
   if (options.zone_aware_thresholds) flags |= kOptZoneAware;
-  if (options.planner_fast_path) flags |= kOptFastPath;
   return flags;
 }
 
@@ -208,8 +206,7 @@ WireStatus ParseRequest(std::string_view payload, WireRequest* request,
   if (!in.Have(4 + 1 + 8 + 4 + 4)) {
     return Malformed(error, "request truncated before the fixed header");
   }
-  const uint32_t version = in.Get<uint32_t>();
-  if (version < kMinWireVersion || version > kWireVersion) {
+  if (in.Get<uint32_t>() != kWireVersion) {
     return Malformed(error, "unknown request version");
   }
   const uint8_t kind = in.Get<uint8_t>();
@@ -218,9 +215,6 @@ WireStatus ParseRequest(std::string_view payload, WireRequest* request,
       kind != static_cast<uint8_t>(RequestKind::kPing) &&
       kind != static_cast<uint8_t>(RequestKind::kStats)) {
     return Malformed(error, "unknown request kind");
-  }
-  if (kind == static_cast<uint8_t>(RequestKind::kStats) && version < 3) {
-    return Malformed(error, "stats requests require wire v3");
   }
   request->kind = static_cast<RequestKind>(kind);
   request->request_id = in.Get<uint64_t>();
@@ -245,7 +239,6 @@ WireStatus ParseRequest(std::string_view payload, WireRequest* request,
   }
   request->options.hierarchical_partitioning = (flags & kOptHierarchical) != 0;
   request->options.zone_aware_thresholds = (flags & kOptZoneAware) != 0;
-  request->options.planner_fast_path = (flags & kOptFastPath) != 0;
   const uint64_t capacity = in.Get<uint64_t>();
   // Tighter than the response-side cap: a *requested* per-device capacity
   // above the max sequence length is meaningless and would let capacity
@@ -405,8 +398,7 @@ WireStatus ParseResponse(FrameType type, std::string_view payload,
   if (!in.Have(4 + 8 + 1 + 4)) {
     return Malformed(error, "response truncated before the fixed header");
   }
-  const uint32_t version = in.Get<uint32_t>();
-  if (version < kMinWireVersion || version > kWireVersion) {
+  if (in.Get<uint32_t>() != kWireVersion) {
     return Malformed(error, "unknown response version");
   }
   response->request_id = in.Get<uint64_t>();
@@ -439,7 +431,8 @@ WireStatus ParseResponse(FrameType type, std::string_view payload,
     return Malformed(error, "response truncated inside the stats");
   }
   const uint8_t engine = in.Get<uint8_t>();
-  if (engine > static_cast<uint8_t>(PlanEngine::kAdopted)) {
+  if (engine < static_cast<uint8_t>(PlanEngine::kElastic) ||
+      engine > static_cast<uint8_t>(PlanEngine::kAdopted)) {
     return Malformed(error, "unknown plan engine");
   }
   response->stats.engine = static_cast<PlanEngine>(engine);
@@ -476,41 +469,39 @@ WireStatus ParseResponse(FrameType type, std::string_view payload,
                               static_cast<size_t>(plan_len));
   in.pos += static_cast<size_t>(plan_len);
 
-  if (version >= 3) {
-    // v3 stage block: bounds-checked like cache_outcome — a count over the
-    // cap or a non-finite/negative latency is a malformed response, never a
-    // silently-poisoned stat. Stages beyond obs::kNumStages (a future
-    // daemon) are validated and dropped.
-    if (!in.Have(1)) {
-      return Malformed(error, "response truncated before the stage block");
-    }
-    const uint8_t stage_count = in.Get<uint8_t>();
-    if (stage_count > kMaxWireStages) {
-      return Malformed(error, "stage count out of range");
-    }
-    if (!in.Have(size_t{stage_count} * 8)) {
-      return Malformed(error, "response truncated inside the stage block");
-    }
-    for (uint8_t i = 0; i < stage_count; ++i) {
-      const double stage_us = in.Get<double>();
-      if (!std::isfinite(stage_us) || stage_us < 0) {
-        return Malformed(error, "stage latency out of range");
-      }
-      if (i < static_cast<uint8_t>(obs::kNumStages)) {
-        response->stats.stage_us[i] = stage_us;
-      }
-    }
-    if (!in.Have(4)) {
-      return Malformed(error, "response truncated before the stats json");
-    }
-    const uint32_t stats_len = in.Get<uint32_t>();
-    if (stats_len > kMaxWireStatsJsonBytes || !in.Have(stats_len)) {
-      return Malformed(error, "stats json section out of range");
-    }
-    response->stats_json.assign(in.cursor(),
-                                stats_len);
-    in.pos += stats_len;
+  // Stage block: bounds-checked like cache_outcome — a count over the cap or
+  // a non-finite/negative latency is a malformed response, never a
+  // silently-poisoned stat. Stages beyond obs::kNumStages (a future daemon)
+  // are validated and dropped.
+  if (!in.Have(1)) {
+    return Malformed(error, "response truncated before the stage block");
   }
+  const uint8_t stage_count = in.Get<uint8_t>();
+  if (stage_count > kMaxWireStages) {
+    return Malformed(error, "stage count out of range");
+  }
+  if (!in.Have(size_t{stage_count} * 8)) {
+    return Malformed(error, "response truncated inside the stage block");
+  }
+  for (uint8_t i = 0; i < stage_count; ++i) {
+    const double stage_us = in.Get<double>();
+    if (!std::isfinite(stage_us) || stage_us < 0) {
+      return Malformed(error, "stage latency out of range");
+    }
+    if (i < static_cast<uint8_t>(obs::kNumStages)) {
+      response->stats.stage_us[i] = stage_us;
+    }
+  }
+  if (!in.Have(4)) {
+    return Malformed(error, "response truncated before the stats json");
+  }
+  const uint32_t stats_len = in.Get<uint32_t>();
+  if (stats_len > kMaxWireStatsJsonBytes || !in.Have(stats_len)) {
+    return Malformed(error, "stats json section out of range");
+  }
+  response->stats_json.assign(in.cursor(),
+                              stats_len);
+  in.pos += stats_len;
 
   if (in.pos != in.size) {
     return Malformed(error, "trailing bytes after the response");

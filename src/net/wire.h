@@ -34,12 +34,9 @@ namespace net {
 // Wire payload encoding version. v2 added the cache_outcome and verified
 // stats bytes to kOk responses. v3 added the kStats request kind, the
 // per-stage latency block, and the stats-JSON section to kOk responses.
-// Endpoints emit v3; parsers also accept v2 (a v2 response simply ends after
-// the plan bytes — stage_us and stats_json decode as empty), so a v3 client
-// interoperates with a v2 daemon and vice versa. Other versions are
-// rejected rather than guessed at.
+// Endpoints emit and accept v3 only; every peer is built from this tree, and
+// other versions are rejected as malformed rather than guessed at.
 inline constexpr uint32_t kWireVersion = 3;
-inline constexpr uint32_t kMinWireVersion = 2;
 
 // Structural caps enforced by ParseRequest (beyond the frame-size cap):
 // stream ids are short tokens, sequence lengths and counts are bounded so

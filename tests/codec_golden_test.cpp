@@ -261,9 +261,10 @@ constexpr uint8_t kOptSharedPool = 1u << 3;
 constexpr uint8_t kOptKnownMask =
     kOptHierarchical | kOptZoneAware | kOptFastPath | kOptSharedPool;
 
-// Bit 3 of the option flags once selected a shared planner thread pool. The
-// current encoder always sets it; `pool_bit = false` reproduces the images of
-// requests that cleared it before the option was removed.
+// Bits 2 and 3 of the option flags once selected the planner engine and a
+// shared planner thread pool. The current encoder always sets both;
+// `pool_bit = false` reproduces the images of requests that cleared bit 3
+// before that option was removed.
 std::string EncodeRequest(const net::WireRequest& request, bool pool_bit = true) {
   std::string out;
   PutU32(&out, net::kWireVersion);
@@ -275,7 +276,7 @@ std::string EncodeRequest(const net::WireRequest& request, bool pool_bit = true)
   uint8_t flags = 0;
   if (request.options.hierarchical_partitioning) flags |= kOptHierarchical;
   if (request.options.zone_aware_thresholds) flags |= kOptZoneAware;
-  if (request.options.planner_fast_path) flags |= kOptFastPath;
+  flags |= kOptFastPath;
   if (pool_bit) flags |= kOptSharedPool;
   PutU8(&out, flags);
   PutU64(&out, static_cast<uint64_t>(request.options.token_capacity));
@@ -334,8 +335,7 @@ net::WireStatus ParseRequest(std::string_view payload, net::WireRequest* request
   if (!in.Have(4 + 1 + 8 + 4 + 4)) {
     return Malformed(error, "request truncated before the fixed header");
   }
-  const uint32_t version = in.GetU32();
-  if (version < net::kMinWireVersion || version > net::kWireVersion) {
+  if (in.GetU32() != net::kWireVersion) {
     return Malformed(error, "unknown request version");
   }
   const uint8_t kind = in.GetU8();
@@ -344,9 +344,6 @@ net::WireStatus ParseRequest(std::string_view payload, net::WireRequest* request
       kind != static_cast<uint8_t>(RequestKind::kPing) &&
       kind != static_cast<uint8_t>(RequestKind::kStats)) {
     return Malformed(error, "unknown request kind");
-  }
-  if (kind == static_cast<uint8_t>(RequestKind::kStats) && version < 3) {
-    return Malformed(error, "stats requests require wire v3");
   }
   request->kind = static_cast<RequestKind>(kind);
   request->request_id = in.GetU64();
@@ -369,7 +366,6 @@ net::WireStatus ParseRequest(std::string_view payload, net::WireRequest* request
   }
   request->options.hierarchical_partitioning = (flags & kOptHierarchical) != 0;
   request->options.zone_aware_thresholds = (flags & kOptZoneAware) != 0;
-  request->options.planner_fast_path = (flags & kOptFastPath) != 0;
   const uint64_t capacity = in.GetU64();
   if (capacity > static_cast<uint64_t>(net::kMaxWireSeqLen)) {
     return Malformed(error, "token capacity out of range");

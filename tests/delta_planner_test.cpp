@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstdio>
 #include <vector>
 
 #include "src/common/load_tracker.h"
@@ -417,6 +418,165 @@ TEST(DeltaPlannerTest, RingChurnRecyclesAndCompactsArena) {
             std::max<size_t>(64, dp.plan().rank_arena.size() / 2 + 1));
 }
 
+// --- Pinned session corpus ------------------------------------------------------
+
+// Golden behaviour of whole delta sessions: each row seeds a planner and a
+// churn stream (plus, with faults on, a FaultStream of kills, restores and
+// slowdowns) and folds every step's outcome and StateDigest into one rolling
+// FNV-1a hash. The hash and the dirty-node re-pack count pin the patch path,
+// the elastic re-plan and the intra-node re-pack together, so a refactor of
+// any of them must reproduce these constants unchanged.
+struct SessionRow {
+  const char* dataset;
+  int nodes;
+  int seqs;
+  double churn;
+  bool faults;
+  uint64_t digest;
+  int64_t repacked_nodes;
+};
+
+constexpr SessionRow kSessionCorpus[] = {
+    {"arxiv", 1, 64, 0.01, false, 0xf8a6d8c0dad1da7eull, 7},
+    {"arxiv", 1, 64, 0.01, true, 0x494808b3713997d4ull, 11},
+    {"arxiv", 1, 64, 0.05, false, 0x901dc0a8deab3486ull, 7},
+    {"arxiv", 1, 64, 0.05, true, 0x5c9945cbe3113219ull, 16},
+    {"arxiv", 1, 1024, 0.01, false, 0x3fd31157ca54ef53ull, 0},
+    {"arxiv", 1, 1024, 0.01, true, 0x4b7e4330242ce91eull, 14},
+    {"arxiv", 1, 1024, 0.05, false, 0x4f38ac9edd207277ull, 0},
+    {"arxiv", 1, 1024, 0.05, true, 0x4fdf695d32b01956ull, 14},
+    {"arxiv", 2, 64, 0.01, false, 0xdcc6c670d2c0ed9eull, 6},
+    {"arxiv", 2, 64, 0.01, true, 0x62d155294c398e09ull, 13},
+    {"arxiv", 2, 64, 0.05, false, 0x36fe3f22bd18f480ull, 5},
+    {"arxiv", 2, 64, 0.05, true, 0x72ca8487600a9aedull, 38},
+    {"arxiv", 2, 1024, 0.01, false, 0xf6f95efce323d954ull, 0},
+    {"arxiv", 2, 1024, 0.01, true, 0xa4ed5f22615bb636ull, 7},
+    {"arxiv", 2, 1024, 0.05, false, 0xf363c63c1546b0fdull, 0},
+    {"arxiv", 2, 1024, 0.05, true, 0x31428dfc7a4e5616ull, 21},
+    {"arxiv", 8, 64, 0.01, false, 0x1b421b05348a58d4ull, 24},
+    {"arxiv", 8, 64, 0.01, true, 0x140e51a9018357d5ull, 29},
+    {"arxiv", 8, 64, 0.05, false, 0x1adbe110004180f1ull, 58},
+    {"arxiv", 8, 64, 0.05, true, 0x84abecb0a7234a76ull, 64},
+    {"arxiv", 8, 1024, 0.01, false, 0xf78e745b284fd737ull, 0},
+    {"arxiv", 8, 1024, 0.01, true, 0x7cdbbb49881d557full, 88},
+    {"arxiv", 8, 1024, 0.05, false, 0x67c00b2e70567847ull, 0},
+    {"arxiv", 8, 1024, 0.05, true, 0xacf8d18957ab50e7ull, 27},
+    {"github", 1, 64, 0.01, false, 0x6dcf1687d44c7c6eull, 4},
+    {"github", 1, 64, 0.01, true, 0x0a4df79b7239bfd2ull, 14},
+    {"github", 1, 64, 0.05, false, 0xa749b842dcd255afull, 9},
+    {"github", 1, 64, 0.05, true, 0xf01d39ec752713acull, 18},
+    {"github", 1, 1024, 0.01, false, 0x83dfeade55e94bb9ull, 0},
+    {"github", 1, 1024, 0.01, true, 0xe6960888b2cc8447ull, 14},
+    {"github", 1, 1024, 0.05, false, 0x52e1b161bde01693ull, 0},
+    {"github", 1, 1024, 0.05, true, 0xa0cc30dd6c24cc34ull, 10},
+    {"github", 2, 64, 0.01, false, 0x57fac5d68d9e285dull, 9},
+    {"github", 2, 64, 0.01, true, 0x305e694fca430065ull, 13},
+    {"github", 2, 64, 0.05, false, 0xe675b052aa5f31f9ull, 18},
+    {"github", 2, 64, 0.05, true, 0x00505487289e2d99ull, 35},
+    {"github", 2, 1024, 0.01, false, 0xf673f382e5f99244ull, 0},
+    {"github", 2, 1024, 0.01, true, 0x7b1671f368087c94ull, 7},
+    {"github", 2, 1024, 0.05, false, 0xec8c144b21234decull, 0},
+    {"github", 2, 1024, 0.05, true, 0xfb44fd44dc1336ebull, 43},
+    {"github", 8, 64, 0.01, false, 0x7078ad59e04447a7ull, 9},
+    {"github", 8, 64, 0.01, true, 0x44b1761872c4cb03ull, 18},
+    {"github", 8, 64, 0.05, false, 0x81416d00611554ebull, 41},
+    {"github", 8, 64, 0.05, true, 0xb2925b38b5b62b5bull, 32},
+    {"github", 8, 1024, 0.01, false, 0x98e98291cc45428full, 16},
+    {"github", 8, 1024, 0.01, true, 0xb9c856df8ddcb755ull, 88},
+    {"github", 8, 1024, 0.05, false, 0x65fc610ebedf60dbull, 27},
+    {"github", 8, 1024, 0.05, true, 0xf8fa8c3ab3cf6002ull, 110},
+    {"prolong64k", 1, 64, 0.01, false, 0xf9c0d367d69f0151ull, 0},
+    {"prolong64k", 1, 64, 0.01, true, 0x155893cf36a9f183ull, 12},
+    {"prolong64k", 1, 64, 0.05, false, 0x12f4c6bba5180275ull, 0},
+    {"prolong64k", 1, 64, 0.05, true, 0x9bb81b61b867e4d5ull, 22},
+    {"prolong64k", 1, 1024, 0.01, false, 0xe4b5fb80ade53c73ull, 0},
+    {"prolong64k", 1, 1024, 0.01, true, 0xbdacf6aeba62af47ull, 15},
+    {"prolong64k", 1, 1024, 0.05, false, 0x290e987662924214ull, 0},
+    {"prolong64k", 1, 1024, 0.05, true, 0x5c7db2fed2e70ae5ull, 17},
+    {"prolong64k", 2, 64, 0.01, false, 0xfc66a019c402efa1ull, 0},
+    {"prolong64k", 2, 64, 0.01, true, 0x2a49edb0eed99324ull, 8},
+    {"prolong64k", 2, 64, 0.05, false, 0xd8e3dc4966c53f94ull, 4},
+    {"prolong64k", 2, 64, 0.05, true, 0x5159415a49c73edcull, 34},
+    {"prolong64k", 2, 1024, 0.01, false, 0x9a4d62f00ab5f41aull, 0},
+    {"prolong64k", 2, 1024, 0.01, true, 0x795b1ac052c03fbeull, 7},
+    {"prolong64k", 2, 1024, 0.05, false, 0x4ccd697c951279aaull, 0},
+    {"prolong64k", 2, 1024, 0.05, true, 0x1a9d81c1b3048af5ull, 11},
+    {"prolong64k", 8, 64, 0.01, false, 0xf5dfccc165fdd19eull, 28},
+    {"prolong64k", 8, 64, 0.01, true, 0x94e91f7bf11cf5c5ull, 31},
+    {"prolong64k", 8, 64, 0.05, false, 0x414283e03901da31ull, 86},
+    {"prolong64k", 8, 64, 0.05, true, 0x2ba1e207e1f5e8bbull, 85},
+    {"prolong64k", 8, 1024, 0.01, false, 0xa15639369bdd4a7bull, 0},
+    {"prolong64k", 8, 1024, 0.01, true, 0x5a349a02dc6ba5e4ull, 30},
+    {"prolong64k", 8, 1024, 0.05, false, 0x1909d569a21f59fcull, 0},
+    {"prolong64k", 8, 1024, 0.05, true, 0xfda7ad874756480cull, 16},
+};
+
+uint64_t MixFnv(uint64_t h, uint64_t v) {
+  for (int i = 0; i < 8; ++i) {
+    h ^= (v >> (8 * i)) & 0xff;
+    h *= 0x100000001b3ull;
+  }
+  return h;
+}
+
+TEST(DeltaPlannerTest, PinnedSessionDigestCorpus) {
+  constexpr int kSteps = 40;
+  // Coverage of the corpus as a whole, so the table cannot quietly shrink to
+  // sessions that never patch, re-pack or survive a fault in place.
+  int64_t clean_repacks = 0;
+  int64_t fault_repacks = 0;
+  int64_t applied = 0;
+  int64_t applied_topology = 0;
+  int64_t rebased = 0;
+  for (const SessionRow& row : kSessionCorpus) {
+    const ClusterSpec cluster = MakeClusterA(row.nodes);
+    const LengthDistribution dist = DatasetByName(row.dataset);
+    const uint64_t seed = static_cast<uint64_t>(row.nodes) * 7919 +
+                          static_cast<uint64_t>(row.seqs) * 31 +
+                          static_cast<uint64_t>(row.churn * 1000) + (row.faults ? 1 : 0);
+    const Batch initial = SampleBatch(dist, row.seqs, seed);
+    DeltaPlanner dp(cluster, MakeOptions(initial, cluster));
+    dp.Rebase(initial);
+    WorkloadStream stream(dist, initial,
+                          StreamOptions{.churn_fraction = row.churn, .resize_fraction = 0.4},
+                          seed ^ 0x5e55);
+    FaultStream faults(cluster.world_size(),
+                       FaultStreamOptions{.fault_rate = 0.02,
+                                          .restore_after = 3,
+                                          .slowdown_rate = 0.02,
+                                          .min_speed = 0.5,
+                                          .min_alive = cluster.world_size() / 2},
+                       seed ^ 0xfa17);
+    uint64_t h = 0xcbf29ce484222325ull;
+    h = MixFnv(h, dp.plan().StateDigest());
+    for (int step = 0; step < kSteps; ++step) {
+      if (row.faults) {
+        h = MixFnv(h, static_cast<uint64_t>(dp.ApplyTopology(faults.Next())));
+        h = MixFnv(h, dp.plan().StateDigest());
+      }
+      h = MixFnv(h, static_cast<uint64_t>(dp.Apply(stream.Next())));
+      h = MixFnv(h, dp.plan().StateDigest());
+    }
+    const DeltaStats& stats = dp.stats();
+    char line[160];
+    std::snprintf(line, sizeof(line), "    {\"%s\", %d, %d, %.2f, %s, 0x%016llxull, %lld},",
+                  row.dataset, row.nodes, row.seqs, row.churn, row.faults ? "true" : "false",
+                  static_cast<unsigned long long>(h),
+                  static_cast<long long>(stats.repacked_nodes));
+    EXPECT_EQ(h, row.digest) << line;
+    EXPECT_EQ(stats.repacked_nodes, row.repacked_nodes) << line;
+    (row.faults ? fault_repacks : clean_repacks) += stats.repacked_nodes;
+    applied += stats.applied;
+    applied_topology += stats.applied_topology;
+    rebased += stats.rebased;
+  }
+  EXPECT_GT(clean_repacks, 0);
+  EXPECT_GT(fault_repacks, 0);
+  EXPECT_GT(applied, 0);
+  EXPECT_GT(applied_topology, 0);
+  EXPECT_GT(rebased, 0);
+}
+
 // --- Strategy-level integration -------------------------------------------------
 
 TEST(ZeppelinPlanDeltaTest, StreamedPlansExecuteAndConserveTokens) {
@@ -471,10 +631,11 @@ TEST(ZeppelinPlanDeltaTest, BaselineDefaultPlansFully) {
   const Batch batch = SampleBatch(DatasetByName("github"), 64, 8);
 
   ZeppelinOptions zopts;
-  zopts.planner_fast_path = false;  // Forces the PlanDelta -> Plan fallback.
+  zopts.hierarchical_partitioning = false;  // Forces the PlanDelta -> Plan fallback.
   ZeppelinStrategy strategy(zopts);
   strategy.PlanDelta(batch, BatchDelta{}, trainer.cost_model(), trainer.fabric());
   EXPECT_EQ(strategy.partition_plan().total_tokens(), batch.total_tokens());
+  EXPECT_EQ(strategy.last_plan_stats().engine, PlanEngine::kGlobalRing);
 }
 
 }  // namespace

@@ -355,6 +355,33 @@ TEST(FrameFuzzTest, CacheStatsBytesAreBoundChecked) {
   }
 }
 
+TEST(FrameFuzzTest, PlanEngineByteIsBoundChecked) {
+  // The engine byte opens the stats block (offset 17 with an empty message).
+  // Value 0 named the retired naive engine and is never emitted, so it is
+  // rejected like any value past the last engine.
+  WireResponse ok;
+  ok.request_id = 12;
+  ok.status = WireStatus::kOk;
+  ok.plan_bytes = "plan";
+  const std::string payload = EncodeResponse(ok);
+  const size_t engine_at = 17;
+  for (int value = 0; value < 256; ++value) {
+    std::string patched = payload;
+    patched[engine_at] = static_cast<char>(value);
+    WireResponse parsed;
+    std::string error;
+    const WireStatus status = ParseResponse(FrameType::kResponse, patched, &parsed, &error);
+    if (value >= static_cast<int>(PlanEngine::kElastic) &&
+        value <= static_cast<int>(PlanEngine::kAdopted)) {
+      ASSERT_EQ(status, WireStatus::kOk) << "engine " << value;
+      EXPECT_EQ(parsed.stats.engine, static_cast<PlanEngine>(value));
+    } else {
+      ASSERT_EQ(status, WireStatus::kMalformedRequest) << "engine " << value;
+      EXPECT_EQ(error, "unknown plan engine");
+    }
+  }
+}
+
 // --- v3 tail: stage block + stats-JSON section -------------------------------
 //
 // Fixed offsets for a success response with an empty message and 4-byte plan:

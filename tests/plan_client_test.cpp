@@ -194,14 +194,10 @@ TEST(PlanClientTest, StatsIsIdempotentAndRetried) {
   EXPECT_EQ(sleeps, (std::vector<int>{10, 20}));
 }
 
-// --- wire v2 backward compatibility ------------------------------------------
+// --- wire version gate ----------------------------------------------------------
 //
-// A v3 parser must still decode frames from a v2 peer: same layout up through
-// the plan bytes, no stage block, no stats-JSON section. Downgrade real v3
-// encodes by rewriting the little-endian version word and (for responses)
-// truncating the v3 tail, which for an empty message and 4-byte plan starts
-// at byte 81 = 17 (header) + 34 (engine..sessions) + 2 (cache_outcome,
-// verified) + 8 (queue_wait) + 8 (digest) + 8 (plan_len) + 4 (plan).
+// Only v3 is spoken: a frame from a v2 peer (or any other version word) gets
+// a typed malformed error naming the version, never a best-effort decode.
 
 void PatchVersion(std::string* payload, uint32_t version) {
   for (int i = 0; i < 4; ++i) {
@@ -209,67 +205,48 @@ void PatchVersion(std::string* payload, uint32_t version) {
   }
 }
 
-TEST(WireCompatTest, V2ResponseDecodesWithEmptyStageBlock) {
+TEST(WireVersionTest, NonV3FramesAreRejectedAsUnknownVersion) {
+  WireRequest plan;
+  plan.request_id = 22;
+  plan.batch.seq_lens = {128, 256, 512};
   WireResponse ok;
   ok.request_id = 21;
   ok.status = WireStatus::kOk;
   ok.digest = 0xfeed;
   ok.plan_bytes = "plan";
-  for (int i = 0; i < obs::kNumStages; ++i) {
-    ok.stats.stage_us[i] = 5.0 * (i + 1);
+  // A v2 response ended after the plan bytes: 17 (header) + 34
+  // (engine..sessions) + 2 (cache_outcome, verified) + 8 (queue_wait) + 8
+  // (digest) + 8 (plan_len) + 4 (plan) = 81 bytes for this one.
+  std::string v2_response = EncodeResponse(ok);
+  ASSERT_GT(v2_response.size(), 81u);
+  v2_response.resize(81);
+
+  for (uint32_t version : {0u, 1u, 2u, 4u, 0xffffffffu}) {
+    std::string request_payload = EncodeRequest(plan);
+    PatchVersion(&request_payload, version);
+    WireRequest parsed_request;
+    std::string error;
+    EXPECT_EQ(ParseRequest(request_payload, &parsed_request, &error),
+              WireStatus::kMalformedRequest)
+        << version;
+    EXPECT_EQ(error, "unknown request version") << version;
+
+    for (std::string response_payload : {EncodeResponse(ok), v2_response}) {
+      PatchVersion(&response_payload, version);
+      WireResponse parsed_response;
+      error.clear();
+      EXPECT_EQ(ParseResponse(FrameType::kResponse, response_payload, &parsed_response, &error),
+                WireStatus::kMalformedRequest)
+          << version;
+      EXPECT_EQ(error, "unknown response version") << version;
+    }
   }
-  ok.stats_json = "{\"schema\":\"zeppelin.metrics.v1\"}";
-  std::string payload = EncodeResponse(ok);
-  const size_t v3_tail_at = 81;
-  ASSERT_GT(payload.size(), v3_tail_at);
-  PatchVersion(&payload, 2);
-  payload.resize(v3_tail_at);
 
-  WireResponse parsed;
-  std::string error;
-  ASSERT_EQ(ParseResponse(FrameType::kResponse, payload, &parsed, &error),
-            WireStatus::kOk)
-      << error;
-  EXPECT_EQ(parsed.request_id, 21u);
-  EXPECT_EQ(parsed.digest, 0xfeedu);
-  EXPECT_EQ(parsed.plan_bytes, "plan");
-  // v2 carries no stage block and no stats JSON: both decode as empty.
-  for (int i = 0; i < obs::kNumStages; ++i) {
-    EXPECT_DOUBLE_EQ(parsed.stats.stage_us[i], 0.0) << i;
-  }
-  EXPECT_TRUE(parsed.stats_json.empty());
-
-  // The same truncated payload with a v3 version word is corrupt, not legacy.
-  std::string v3_truncated = payload;
-  PatchVersion(&v3_truncated, 3);
-  WireResponse rejected;
-  EXPECT_EQ(ParseResponse(FrameType::kResponse, v3_truncated, &rejected, &error),
-            WireStatus::kMalformedRequest);
-}
-
-TEST(WireCompatTest, V2RequestStillParsesAndV2StatsIsRejected) {
-  WireRequest plan;
-  plan.request_id = 22;
-  plan.batch.seq_lens = {128, 256, 512};
-  std::string payload = EncodeRequest(plan);
-  PatchVersion(&payload, 2);
+  // The current version word still round-trips.
   WireRequest parsed;
   std::string error;
-  ASSERT_EQ(ParseRequest(payload, &parsed, &error), WireStatus::kOk) << error;
-  EXPECT_EQ(parsed.request_id, 22u);
-  EXPECT_EQ(parsed.batch.seq_lens.size(), 3u);
-
-  // kStats did not exist before v3: a v2 frame claiming it is malformed.
-  WireRequest stats;
-  stats.request_id = 23;
-  stats.kind = RequestKind::kStats;
-  std::string stats_payload = EncodeRequest(stats);
-  PatchVersion(&stats_payload, 2);
-  WireRequest out;
-  EXPECT_EQ(ParseRequest(stats_payload, &out, &error),
-            WireStatus::kMalformedRequest);
-  EXPECT_NE(error.find("stats requests require wire v3"), std::string::npos)
-      << error;
+  ASSERT_EQ(ParseRequest(EncodeRequest(plan), &parsed, &error), WireStatus::kOk) << error;
+  EXPECT_EQ(parsed.batch.seq_lens, plan.batch.seq_lens);
 }
 
 }  // namespace

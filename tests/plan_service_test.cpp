@@ -62,36 +62,26 @@ struct TestRig {
   }
 };
 
-TEST(PlanServiceTest, StatelessByteIdenticalToDirectPartitionerAtEverySetting) {
+TEST(PlanServiceTest, StatelessByteIdenticalToNaivePartitioner) {
   TestRig rig;
   const Batch batch = SampleBatch(1024, 0xa11);
   const int64_t capacity = SlackCapacity(batch, rig.cluster);
 
-  SequencePartitioner direct(rig.cluster,
-                             SequencePartitioner::Options{.token_capacity = capacity});
-  const PartitionPlan reference = direct.Partition(batch);
+  // The naive reference engine is the oracle for the service's one engine.
+  SequencePartitioner naive(rig.cluster, SequencePartitioner::Options{
+                                             .token_capacity = capacity, .fast_path = false});
+  const PartitionPlan reference = naive.Partition(batch);
 
-  struct Setting {
-    bool fast_path;
-    PlanEngine expect;
-  };
-  const std::vector<Setting> settings = {
-      {false, PlanEngine::kNaive},
-      {true, PlanEngine::kParallelSharded},
-  };
   PlannerService service;
-  for (const Setting& setting : settings) {
-    PlanRequest request = rig.Request(batch);
-    request.options.token_capacity = capacity;
-    request.options.planner_fast_path = setting.fast_path;
-    const PlanResponse response = service.Plan(request);
-    ASSERT_NE(response.plan, nullptr);
-    EXPECT_TRUE(*response.plan == reference) << "fast=" << setting.fast_path;
-    EXPECT_EQ(response.stats.engine, setting.expect);
-    EXPECT_EQ(response.digest, reference.StateDigest());
-    EXPECT_EQ(response.stats.token_capacity, capacity);
-    EXPECT_GT(response.stats.partition_time_us, 0);
-  }
+  PlanRequest request = rig.Request(batch);
+  request.options.token_capacity = capacity;
+  const PlanResponse response = service.Plan(request);
+  ASSERT_NE(response.plan, nullptr);
+  EXPECT_TRUE(*response.plan == reference);
+  EXPECT_EQ(response.stats.engine, PlanEngine::kParallelSharded);
+  EXPECT_EQ(response.digest, reference.StateDigest());
+  EXPECT_EQ(response.stats.token_capacity, capacity);
+  EXPECT_GT(response.stats.partition_time_us, 0);
 }
 
 TEST(PlanServiceTest, GlobalRingLayout) {

@@ -124,9 +124,7 @@ int ConnectRaw(int port) {
 }
 
 TEST(PlannerDaemonTest, StatelessByteIdentityAcrossEngines) {
-  // Cache off: the engine cases below deliberately share one cache key
-  // (their plans are byte-identical, which is exactly why the key ignores
-  // engine-selection knobs), and this test wants every engine to *run*.
+  // Cache off: this test wants every engine to *run*, not serve a hit.
   DaemonRig rig(DaemonOptions{.max_concurrent_plans = 4, .plan_cache = false});
   PlanClient client = rig.Client();
   const Batch batch = SampleBatch(512, 7);
@@ -136,7 +134,6 @@ TEST(PlannerDaemonTest, StatelessByteIdentityAcrossEngines) {
     PlanningOptions options;
   };
   const EngineCase cases[] = {
-      {"naive", {.planner_fast_path = false}},
       {"sharded", {}},
       {"global-ring", {.hierarchical_partitioning = false}},
   };
@@ -397,11 +394,11 @@ TEST(PlannerDaemonTest, BadSemanticsTypedAndNoPartialMutation) {
     request.delta.emplace();
     EXPECT_EQ(client.Plan(std::move(request)).status, WireStatus::kBadRequest);
   }
-  {  // Sessions require the hierarchical fast path.
+  {  // Sessions require hierarchical planning.
     WireRequest request;
     request.stream_id = "s";
     request.batch = batch;
-    request.options.planner_fast_path = false;
+    request.options.hierarchical_partitioning = false;
     EXPECT_EQ(client.Plan(std::move(request)).status, WireStatus::kBadRequest);
   }
 

@@ -314,20 +314,14 @@ TEST(PlannerFastPathTest, PinnedDigestCorpus) {
                                 std::to_string(row.nodes) + " S=" + std::to_string(row.seqs) +
                                 (row.tight ? " tight" : " derived") +
                                 (row.zone_aware ? " zone-aware" : "");
-    int64_t capacity = 0;
-    for (bool fast_path : {false, true}) {
-      request.options.planner_fast_path = fast_path;
-      const PlanResponse response = service.Plan(request);
-      capacity = response.stats.token_capacity;
-      char line[160];
-      std::snprintf(line, sizeof(line), "    {\"%s\", %d, %d, %s, %s, 0x%016llxull},", row.dataset,
-                    row.nodes, row.seqs, row.tight ? "true" : "false",
-                    row.zone_aware ? "true" : "false",
-                    static_cast<unsigned long long>(response.digest));
-      EXPECT_EQ(response.digest, row.digest)
-          << context << (fast_path ? " [service, production]" : " [service, naive]") << "\n"
-          << line;
-    }
+    const PlanResponse response = service.Plan(request);
+    const int64_t capacity = response.stats.token_capacity;
+    char line[160];
+    std::snprintf(line, sizeof(line), "    {\"%s\", %d, %d, %s, %s, 0x%016llxull},", row.dataset,
+                  row.nodes, row.seqs, row.tight ? "true" : "false",
+                  row.zone_aware ? "true" : "false",
+                  static_cast<unsigned long long>(response.digest));
+    EXPECT_EQ(response.digest, row.digest) << context << " [service]\n" << line;
 
     // The same inputs straight through SequencePartitioner.
     SequencePartitioner::Options options{.token_capacity = capacity};

@@ -6,13 +6,13 @@
 // A Zipfian request stream (s = 1.1) over D distinct batches is driven
 // through two arms. The cache arm routes every request through
 // PlanCache::Plan — exact hits are served zero-copy (permuted repeats via
-// the O(plan) seq-id remap), misses plan once and populate the entry, and
+// the O(S + plan) seq-id remap), misses plan once and populate the entry, and
 // every served plan must carry stats.verified (the certifier ran or the
 // entry was never served). The no-cache arm sends the identical request
 // sequence straight to PlannerService::Plan. Both arms are timed over the
 // whole replay, so the speedup includes key canonicalization, LRU
-// bookkeeping, and the VerifyPlan pass on every hit — the honest serving
-// cost, not just the lookup.
+// bookkeeping, the digest check on exact hits and the VerifyPlan pass on
+// remapped hits — the honest serving cost, not just the lookup.
 //
 // Output: a table plus machine-readable BENCH_cache.json:
 //   { "bench": "plan_cache", "model", "cluster", "quick", "requests",

@@ -16,6 +16,30 @@
 namespace zeppelin {
 namespace planner_internal {
 
+// Packed sequence key layout: high 43 bits (kLenMask - len), low 20 bits id.
+// Ascending key order == (length descending, id ascending) — the zone order
+// of Alg. 1 with the stable-sort tie-break. The plan cache pairs a permuted
+// batch's slots with a cached plan's through the same order.
+constexpr int kIdxBits = 20;
+constexpr uint64_t kIdxMask = (uint64_t{1} << kIdxBits) - 1;
+constexpr uint64_t kLenMask = (uint64_t{1} << 43) - 1;
+
+inline uint64_t PackKey(int64_t len, int id) {
+  return ((kLenMask - static_cast<uint64_t>(len)) << kIdxBits) | static_cast<uint64_t>(id);
+}
+inline int64_t KeyLen(uint64_t key) { return static_cast<int64_t>(kLenMask - (key >> kIdxBits)); }
+inline int KeyId(uint64_t key) { return static_cast<int>(key & kIdxMask); }
+
+// Fills `keys` with PackKey(lens[i], i) sorted ascending and returns the total
+// of `lens` (folded into the same pass), or -1 when a length is negative or
+// wider than kLenMask — `keys` is then unsorted, and each caller applies its
+// own policy (the engine aborts, the plan cache reports a miss). LSD radix
+// over only the bits that actually vary: bits below the common granularity
+// and above bit_width(max_len) are constant across all keys and need no pass.
+// `tmp` and `count` are scratch. ZCHECKs that lens.size() fits the id field.
+int64_t BuildSortedKeys(const std::vector<int64_t>& lens, std::vector<uint64_t>* keys,
+                        std::vector<uint64_t>* tmp, std::vector<int>* count);
+
 // Number of node buckets a z2 sequence is chunked over (Alg. 1 line 8).
 inline int InterNodeChunkCount(int64_t len, double s_avg, int num_nodes) {
   int k = static_cast<int>(std::ceil(static_cast<double>(len) / std::max(s_avg, 1.0)));

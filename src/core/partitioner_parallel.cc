@@ -37,21 +37,68 @@ using planner_internal::ExpandChunkBase;
 using planner_internal::ForEachFragment;
 using planner_internal::FragmentZone1;
 using planner_internal::InterNodeChunkCount;
+using planner_internal::KeyId;
+using planner_internal::KeyLen;
+using planner_internal::kIdxBits;
+using planner_internal::kIdxMask;
+using planner_internal::kLenMask;
+using planner_internal::PackKey;
+
+namespace planner_internal {
+
+int64_t BuildSortedKeys(const std::vector<int64_t>& lens, std::vector<uint64_t>* keys,
+                        std::vector<uint64_t>* tmp, std::vector<int>* count) {
+  const size_t n = lens.size();
+  ZCHECK_LE(static_cast<uint64_t>(n), kIdxMask + 1) << "batch too large for packed keys";
+  keys->resize(n);
+  tmp->resize(n);
+
+  // Summed unsigned: an out-of-range length must not overflow before the
+  // range check below rejects it. In range, the sum fits (2^20 ids x 2^43).
+  uint64_t total = 0;
+  int64_t max_len = 0;
+  uint64_t or_acc = 0;
+  for (size_t i = 0; i < n; ++i) {
+    const int64_t len = lens[i];
+    total += static_cast<uint64_t>(len);
+    max_len = std::max(max_len, len);
+    or_acc |= static_cast<uint64_t>(len);
+    (*keys)[i] = PackKey(len, static_cast<int>(i));
+  }
+  // One range check for the whole batch: a negative length sets the high bits
+  // of or_acc (two's complement), an oversized one exceeds the mask directly.
+  if (or_acc > kLenMask) {
+    return -1;
+  }
+
+  const int lo = or_acc == 0 ? 0 : std::countr_zero(or_acc);
+  const int hi = std::bit_width(static_cast<uint64_t>(max_len));
+  for (int shift = lo; shift < hi;) {
+    const int digit_bits = std::min(16, hi - shift);
+    const uint64_t digit_mask = (uint64_t{1} << digit_bits) - 1;
+    const int key_shift = kIdxBits + shift;
+    count->assign(size_t{1} << digit_bits, 0);
+    for (uint64_t key : *keys) {
+      ++(*count)[(key >> key_shift) & digit_mask];
+    }
+    int running = 0;
+    for (int& c : *count) {
+      const int digits = c;
+      c = running;
+      running += digits;
+    }
+    for (uint64_t key : *keys) {
+      (*tmp)[(*count)[(key >> key_shift) & digit_mask]++] = key;
+    }
+    keys->swap(*tmp);
+    shift += digit_bits;
+  }
+  return static_cast<int64_t>(total);
+}
+
+}  // namespace planner_internal
 
 namespace {
-
-// Packed sequence key layout: high 43 bits (kLenMask - len), low 20 bits id.
-// Ascending key order == (length descending, id ascending) — the zone order
-// of Alg. 1 with the stable-sort tie-break.
-constexpr int kIdxBits = 20;
-constexpr uint64_t kIdxMask = (uint64_t{1} << kIdxBits) - 1;
-constexpr uint64_t kLenMask = (uint64_t{1} << 43) - 1;
-
-inline uint64_t PackKey(int64_t len, int id) {
-  return ((kLenMask - static_cast<uint64_t>(len)) << kIdxBits) | static_cast<uint64_t>(id);
-}
-inline int64_t KeyLen(uint64_t key) { return static_cast<int64_t>(kLenMask - (key >> kIdxBits)); }
-inline int KeyId(uint64_t key) { return static_cast<int>(key & kIdxMask); }
 
 // First position in the sorted key array whose length drops below
 // `threshold` — the zone boundary index. O(log n).
@@ -65,55 +112,6 @@ int KeyBoundary(const std::vector<uint64_t>& keys, int64_t threshold) {
                           keys.begin());
 }
 
-// Builds scratch->keys sorted ascending. Returns the batch's total tokens
-// (folded into the same pass over seq_lens). LSD radix over only the bits
-// that actually vary: bits below the common granularity and above
-// bit_width(max_len) are constant across all keys and need no pass.
-int64_t BuildSortedKeys(const Batch& batch, PlannerScratch* s) {
-  const int n = batch.size();
-  ZCHECK_LE(static_cast<uint64_t>(n), kIdxMask + 1) << "batch too large for packed keys";
-  s->keys.resize(n);
-  s->keys_tmp.resize(n);
-
-  int64_t total = 0;
-  int64_t max_len = 0;
-  uint64_t or_acc = 0;
-  for (int i = 0; i < n; ++i) {
-    const int64_t len = batch.seq_lens[i];
-    total += len;
-    max_len = std::max(max_len, len);
-    or_acc |= static_cast<uint64_t>(len);
-    s->keys[i] = PackKey(len, i);
-  }
-  // One range check for the whole batch: a negative length sets the high bits
-  // of or_acc (two's complement), an oversized one exceeds the mask directly.
-  ZCHECK_LE(or_acc, kLenMask) << "sequence length out of key range";
-
-  const int lo = or_acc == 0 ? 0 : std::countr_zero(or_acc);
-  const int hi = std::bit_width(static_cast<uint64_t>(max_len));
-  for (int shift = lo; shift < hi;) {
-    const int digit_bits = std::min(16, hi - shift);
-    const uint64_t digit_mask = (uint64_t{1} << digit_bits) - 1;
-    const int key_shift = kIdxBits + shift;
-    s->key_count.assign(size_t{1} << digit_bits, 0);
-    for (uint64_t key : s->keys) {
-      ++s->key_count[(key >> key_shift) & digit_mask];
-    }
-    int running = 0;
-    for (int& count : s->key_count) {
-      const int c = count;
-      count = running;
-      running += c;
-    }
-    for (uint64_t key : s->keys) {
-      s->keys_tmp[s->key_count[(key >> key_shift) & digit_mask]++] = key;
-    }
-    s->keys.swap(s->keys_tmp);
-    shift += digit_bits;
-  }
-  return total;
-}
-
 }  // namespace
 
 // --- Inter-node stage (Alg. 1), sharded engine --------------------------------
@@ -125,7 +123,9 @@ void SequencePartitioner::PartitionInterNodeSharded(const Batch& batch, Partitio
   const int64_t node_capacity = static_cast<int64_t>(p) * options_.token_capacity;
   const int n = batch.size();
 
-  const int64_t total = BuildSortedKeys(batch, s);
+  const int64_t total =
+      planner_internal::BuildSortedKeys(batch.seq_lens, &s->keys, &s->keys_tmp, &s->key_count);
+  ZCHECK_GE(total, 0) << "sequence length out of key range";
   s->batch_total = total;
   ZCHECK_LE(total, static_cast<int64_t>(num_nodes) * node_capacity)
       << "batch does not fit the cluster at capacity L=" << options_.token_capacity;

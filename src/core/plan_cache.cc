@@ -3,10 +3,10 @@
 #include <algorithm>
 #include <bit>
 #include <cstring>
-#include <numeric>
 #include <utility>
 
 #include "src/common/check.h"
+#include "src/core/partitioner_internal.h"
 #include "src/model/cost_model.h"
 #include "src/topology/path.h"
 
@@ -223,31 +223,41 @@ PlanResponse PlanCache::Plan(const PlanRequest& request) {
   return PlanAndInsert(request, key);
 }
 
+bool PairPermutedSlots(const std::vector<int64_t>& cached_lens,
+                       const std::vector<int64_t>& request_lens, std::vector<int>* remap) {
+  // Both sides go through the planner's own packed-key radix sort (one pass
+  // for quantized lengths); with equal multisets the k-th keys pair up into
+  // the stable (length, slot) bijection. O(S).
+  const size_t n = cached_lens.size();
+  if (n != request_lens.size() || n > planner_internal::kIdxMask + 1) {
+    return false;
+  }
+  std::vector<uint64_t> cached_keys, request_keys, tmp;
+  std::vector<int> count;
+  // A length outside the key range is a miss, not an abort: in-process
+  // callers reach here without the daemon's wire bounds.
+  if (planner_internal::BuildSortedKeys(cached_lens, &cached_keys, &tmp, &count) < 0 ||
+      planner_internal::BuildSortedKeys(request_lens, &request_keys, &tmp, &count) < 0) {
+    return false;
+  }
+  remap->resize(n);
+  for (size_t i = 0; i < n; ++i) {
+    if (planner_internal::KeyLen(cached_keys[i]) != planner_internal::KeyLen(request_keys[i])) {
+      return false;
+    }
+    (*remap)[planner_internal::KeyId(cached_keys[i])] = planner_internal::KeyId(request_keys[i]);
+  }
+  return true;
+}
+
 std::shared_ptr<const PartitionPlan> PlanCache::RemapPlan(
     const std::vector<int64_t>& cached_lens, const PartitionPlan& cached,
     const Batch& batch) const {
   // Same length multiset, different slot order: pair the cached slots with
-  // the request's by (length, slot) — a stable bijection because the
-  // multisets are equal — and rewrite every entry's seq id. O(S log S + plan).
-  const size_t n = cached_lens.size();
-  if (n != batch.seq_lens.size()) {
-    return nullptr;  // Signature collision; treat as a miss.
-  }
-  std::vector<int> cached_order(n), request_order(n);
-  std::iota(cached_order.begin(), cached_order.end(), 0);
-  std::iota(request_order.begin(), request_order.end(), 0);
-  std::sort(cached_order.begin(), cached_order.end(), [&](int a, int b) {
-    return std::tie(cached_lens[a], a) < std::tie(cached_lens[b], b);
-  });
-  std::sort(request_order.begin(), request_order.end(), [&](int a, int b) {
-    return std::tie(batch.seq_lens[a], a) < std::tie(batch.seq_lens[b], b);
-  });
-  std::vector<int> remap(n);
-  for (size_t i = 0; i < n; ++i) {
-    if (cached_lens[cached_order[i]] != batch.seq_lens[request_order[i]]) {
-      return nullptr;  // Signature collision; treat as a miss.
-    }
-    remap[cached_order[i]] = request_order[i];
+  // the request's and rewrite every entry's seq id. O(S + plan).
+  std::vector<int> remap;
+  if (!PairPermutedSlots(cached_lens, batch.seq_lens, &remap)) {
+    return nullptr;  // Signature collision (or out-of-range lengths); a miss.
   }
   auto plan = std::make_shared<PartitionPlan>(cached);
   for (RingRef& ring : plan->inter_node) {

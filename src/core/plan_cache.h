@@ -22,11 +22,14 @@
 // LRU-bounded; evicting one closes its service session.
 //
 // Certification: when `verify` is on (the default), every plan the cache
-// serves — hit, miss, or near-match — passes VerifyPlan (plan_verify.h)
-// before it is returned. A cached entry that fails (e.g. poisoned storage)
-// is dropped and replanned, never served; a freshly planned failure is
-// served with stats.verified == false so the caller can apply policy (the
-// daemon's verify-before-serve turns it into a typed kInternal).
+// builds — a miss, a near-match, or a remapped hit — passes VerifyPlan
+// (plan_verify.h) before it is returned. An exact hit serves the stored
+// handle that passed VerifyPlan at insert, after a StateDigest check
+// against the digest recorded then, so its bytes are the certified bytes.
+// A cached entry that fails either check (e.g. poisoned storage) is dropped
+// and replanned, never served; a freshly planned failure is served with
+// stats.verified == false so the caller can apply policy (the daemon's
+// verify-before-serve turns it into a typed kInternal).
 //
 // Thread safety: all public methods are safe to call concurrently. The LRU
 // index is guarded by one mutex held only for O(1)/O(size) bookkeeping;
@@ -58,7 +61,8 @@ struct PlanCacheOptions {
   // Enables the histogram-bucketed near-match tier (requires requests with
   // hierarchical planning — others use the exact tier only).
   bool near_match = true;
-  // Run VerifyPlan on every served plan (hit, miss, near-match).
+  // Certify served plans: VerifyPlan on every miss, near-match and remapped
+  // hit, a digest check against the insert-time certificate on exact hits.
   bool verify = true;
   // Balance slack handed to the certifier (PlanVerifyOptions::eps).
   double verify_eps = 0.25;
@@ -104,6 +108,14 @@ PlanCacheKey ComputePlanCacheKey(const PlanRequest& request);
 PlanCacheKey ComputePlanCacheKey(const PlanRequest& request, uint64_t cost_digest,
                                  uint64_t fabric_digest);
 
+// The remap tier's slot pairing (exposed for the pairing tests): sets
+// remap[cached slot] = request slot, pairing the k-th slot of each side in
+// the planner's packed-key order (length descending, slot ascending) — the
+// same bijection as sorting both sides by (length, slot). False when the
+// length multisets differ or a length is negative or wider than 43 bits.
+bool PairPermutedSlots(const std::vector<int64_t>& cached_lens,
+                       const std::vector<int64_t>& request_lens, std::vector<int>* remap);
+
 class PlanCache {
  public:
   // `service` is borrowed and must outlive the cache (the cache closes its
@@ -118,9 +130,10 @@ class PlanCache {
   // requests bypass the cache entirely (kBypass).
   PlanResponse Plan(const PlanRequest& request);
 
-  // Lookup-only: a verified response on an exact-tier hit, nullopt on miss,
-  // bypass, or a poisoned entry (which is dropped). Lets callers with their
-  // own admission control (the daemon) serve hits without a planning permit.
+  // Lookup-only: a certified response on an exact or remapped hit, nullopt
+  // on miss, bypass, or a poisoned entry (which is dropped). Lets callers
+  // with their own admission control (the daemon) serve hits without a
+  // planning permit.
   std::optional<PlanResponse> TryServe(const PlanRequest& request);
 
   // Plans through the service (near-match family patch when possible, full
@@ -185,8 +198,9 @@ class PlanCache {
 
   bool Cacheable(const PlanRequest& request) const;
   // Rebuilds `plan` with seq ids remapped from the cached slot order
-  // (`cached_lens`) to the request's. Null on a signature collision (the
-  // length multisets differ despite the equal key).
+  // (`cached_lens`) to the request's through PairPermutedSlots. Null on a
+  // signature collision (the length multisets differ despite the equal key)
+  // or a length outside the key range.
   std::shared_ptr<const PartitionPlan> RemapPlan(const std::vector<int64_t>& cached_lens,
                                                  const PartitionPlan& plan,
                                                  const Batch& batch) const;

@@ -16,6 +16,7 @@
 #include "src/common/check.h"
 #include "src/core/plan_io.h"
 #include "src/core/plan_verify.h"
+#include "src/net/admission_gate.h"
 
 namespace zeppelin {
 namespace net {
@@ -102,102 +103,6 @@ void LingeringClose(int fd) {
 }
 
 }  // namespace
-
-// Bounded two-stage admission: `permits` requests plan concurrently, at most
-// `queue_limit` more wait behind them, everything else is shed immediately.
-// Waiters honor their request deadline — a queued request whose deadline
-// passes is dropped without ever starting to plan.
-struct PlannerDaemon::AdmissionGate {
-  enum class Result { kAdmitted, kOverloaded, kDeadline, kShutdown };
-
-  // The two gauges mirror `active`/`waiting` so the admission state is
-  // visible in every metrics snapshot; they are updated under `mu` at each
-  // transition, so the mirrored levels can never drift from the truth.
-  AdmissionGate(int permits_in, int queue_limit_in, obs::Gauge* active_gauge,
-                obs::Gauge* waiting_gauge)
-      : permits(std::max(1, permits_in)),
-        queue_limit(std::max(0, queue_limit_in)),
-        g_active(active_gauge),
-        g_waiting(waiting_gauge) {}
-
-  void Admit() {
-    ++active;
-    g_active->Add(1);
-  }
-  void StartWaiting() {
-    ++waiting;
-    g_waiting->Add(1);
-  }
-  void StopWaiting() {
-    --waiting;
-    g_waiting->Sub(1);
-  }
-
-  Result Acquire(Clock::time_point deadline) {
-    std::unique_lock<std::mutex> lock(mu);
-    if (shutdown) {
-      return Result::kShutdown;
-    }
-    if (active < permits) {
-      Admit();
-      return Result::kAdmitted;
-    }
-    if (waiting >= queue_limit) {
-      return Result::kOverloaded;
-    }
-    StartWaiting();
-    while (true) {
-      if (deadline == Clock::time_point::max()) {
-        cv.wait(lock);
-      } else if (cv.wait_until(lock, deadline) == std::cv_status::timeout) {
-        // One last chance: a permit freed in the same instant still wins.
-        if (!shutdown && active < permits) {
-          StopWaiting();
-          Admit();
-          return Result::kAdmitted;
-        }
-        StopWaiting();
-        return shutdown ? Result::kShutdown : Result::kDeadline;
-      }
-      if (shutdown) {
-        StopWaiting();
-        return Result::kShutdown;
-      }
-      if (active < permits) {
-        StopWaiting();
-        Admit();
-        return Result::kAdmitted;
-      }
-    }
-  }
-
-  void Release() {
-    {
-      std::lock_guard<std::mutex> lock(mu);
-      --active;
-      g_active->Sub(1);
-    }
-    cv.notify_one();
-  }
-
-  void Shutdown() {
-    {
-      std::lock_guard<std::mutex> lock(mu);
-      shutdown = true;
-    }
-    cv.notify_all();
-  }
-
-  std::mutex mu;
-  std::condition_variable cv;
-  int active = 0;
-  int waiting = 0;
-  const int permits;
-  const int queue_limit;
-  obs::Gauge* const g_active;
-  obs::Gauge* const g_waiting;
-  bool shutdown = false;
-};
 
 // One client connection. Owned jointly by the connection map and the reader
 // thread; `sessions` (the per-stream mirrors) is touched only by the reader
@@ -841,10 +746,12 @@ void PlannerDaemon::HandlePlan(Connection& conn, WireRequest& request,
   }
 
   const bool is_session = !request.stream_id.empty();
-  // Exact-tier cache hits are served before (and without) an admission
-  // permit: no planning happens, so a hit costs no planner capacity — and a
-  // permit-free path keeps repeated responses byte-identical (zero queue
-  // wait) under any load. TryServe drops + replans poisoned entries itself.
+  // Cache hits — exact and remapped alike — are served before (and without)
+  // an admission permit: no planning happens, so a hit costs no planner
+  // capacity (a remap is an O(S + plan) relabel plus its certification) —
+  // and a permit-free path keeps repeated responses byte-identical (zero
+  // queue wait) under any load. TryServe drops + replans poisoned entries
+  // itself.
   // One cache key per request: derived here, reused by the insert on a miss.
   PlanCacheKey cache_key;
   if (!is_session && cache_ != nullptr) {

@@ -15,9 +15,11 @@
 //     and the service exactly as they were (no partially-applied session
 //     mutation).
 //   - *Bounded admission.* At most `max_concurrent_plans` requests plan at
-//     once; at most `queue_limit` more may wait. Anything beyond is shed
-//     immediately with kOverloaded instead of queueing unboundedly, so
-//     admitted-request latency stays bounded under any offered load.
+//     once; at most `queue_limit` more may wait, admitted in arrival order
+//     (a freed permit passes straight to the longest waiter). Anything
+//     beyond is shed immediately with kOverloaded instead of queueing
+//     unboundedly, so admitted-request latency stays bounded under any
+//     offered load.
 //   - *Per-request deadlines.* A request carrying deadline_ms is dropped
 //     with kDeadlineExceeded if it is still waiting for admission when the
 //     deadline passes; planning never starts on an expired request.
@@ -63,6 +65,8 @@
 
 namespace zeppelin {
 namespace net {
+
+class AdmissionGate;
 
 struct DaemonOptions {
   // TCP port to listen on; 0 binds an ephemeral port (read it back with
@@ -182,7 +186,6 @@ class PlannerDaemon {
   const obs::TraceSink* trace_sink() const { return trace_.get(); }
 
  private:
-  struct AdmissionGate;
   struct Connection;
 
   void AcceptLoop();

@@ -2,15 +2,19 @@
 // properties (randomized + seeded, twin-checked — permuting sequences or
 // renaming slots never changes the key, any semantic change always does),
 // exact-tier hit semantics (zero-copy repeats, seq-id remap for permuted
-// batches, every served plan certified), LRU eviction, the near-match
-// family tier, the poisoned-entry hook, and a concurrent hammer (the TSAN
-// target together with plan_service_test).
+// batches — byte-identical to a fresh plan and to the comparison-sort
+// pairing it replaced — every served plan certified), LRU eviction, the
+// near-match family tier, the poisoned-entry hook on both hit tiers, and a
+// concurrent hammer (the TSAN target together with plan_service_test).
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <numeric>
+#include <optional>
 #include <thread>
+#include <tuple>
 #include <vector>
 
 #include "src/common/rng.h"
@@ -18,6 +22,8 @@
 #include "src/core/plan_service.h"
 #include "src/core/plan_verify.h"
 #include "src/data/datasets.h"
+#include "src/data/mixture.h"
+#include "src/data/sampler.h"
 #include "src/model/transformer.h"
 #include "src/topology/cluster.h"
 
@@ -44,6 +50,27 @@ Batch Permuted(const Batch& batch, uint64_t seed) {
     std::swap(out.seq_lens[i - 1], out.seq_lens[j]);
   }
   return out;
+}
+
+// The remap tier's bijection as two comparison sorts define it: order both
+// sides by (length, slot) and pair them position by position.
+std::vector<int> OracleRemap(const std::vector<int64_t>& cached,
+                             const std::vector<int64_t>& request) {
+  const size_t n = cached.size();
+  std::vector<int> cached_order(n), request_order(n);
+  std::iota(cached_order.begin(), cached_order.end(), 0);
+  std::iota(request_order.begin(), request_order.end(), 0);
+  std::sort(cached_order.begin(), cached_order.end(), [&](int a, int b) {
+    return std::tie(cached[a], a) < std::tie(cached[b], b);
+  });
+  std::sort(request_order.begin(), request_order.end(), [&](int a, int b) {
+    return std::tie(request[a], a) < std::tie(request[b], b);
+  });
+  std::vector<int> remap(n);
+  for (size_t i = 0; i < n; ++i) {
+    remap[cached_order[i]] = request_order[i];
+  }
+  return remap;
 }
 
 struct Rig {
@@ -207,6 +234,104 @@ TEST(PlanCacheTest, PermutedBatchHitsWithARemappedPlan) {
   EXPECT_EQ(hit.plan->tokens_per_rank, miss.plan->tokens_per_rank);
 }
 
+// A remapped serve is byte-identical to planning the permuted batch from
+// scratch, in the serve regime and two smaller ones: the planner orders
+// sequences by (length desc, slot asc), so relabelling a cached plan through
+// the (length, slot) bijection reproduces the fresh plan exactly.
+TEST(PlanCacheTest, PermutedServeIsByteIdenticalToAFreshPlan) {
+  struct Regime {
+    int nodes;
+    int64_t tokens_per_gpu;
+  };
+  for (const Regime regime : {Regime{64, 16384}, Regime{64, 4096}, Regime{8, 4096}}) {
+    const ClusterSpec cluster = MakeClusterA(regime.nodes);
+    const FabricResources fabric(cluster);
+    const CostModel cost_model(MakeLlama3B(), cluster);
+    PlannerService cache_service, fresh_service;
+    PlanCache cache(&cache_service, {.near_match = false});
+    BatchSampler sampler(MakePretrainMixture(),
+                         int64_t{cluster.world_size()} * regime.tokens_per_gpu, 0x5e7);
+    for (uint64_t b = 0; b < 16; ++b) {
+      SCOPED_TRACE(testing::Message() << cluster.world_size() << " GPUs, "
+                                      << regime.tokens_per_gpu << " tok/GPU, batch " << b);
+      const Batch batch = sampler.NextBatch();
+      const Batch shuffled = Permuted(batch, 0x900d + b);
+      ASSERT_NE(batch.seq_lens, shuffled.seq_lens);
+      PlanRequest request;
+      request.cost_model = &cost_model;
+      request.fabric = &fabric;
+      request.batch = &batch;
+      ASSERT_EQ(cache.Plan(request).stats.cache_outcome, CacheOutcome::kMiss);
+      request.batch = &shuffled;
+      const PlanResponse hit = cache.Plan(request);
+      ASSERT_EQ(hit.stats.cache_outcome, CacheOutcome::kHit);
+      ASSERT_TRUE(hit.stats.verified);
+      const PlanResponse fresh = fresh_service.Plan(request);
+      EXPECT_EQ(hit.plan->Serialize(), fresh.plan->Serialize());
+      EXPECT_EQ(hit.digest, fresh.digest);
+    }
+  }
+}
+
+// PairPermutedSlots against the comparison-sort oracle, on the shapes where a
+// radix pairing could go wrong: ties, constant lengths, one slot, lengths that
+// need two radix passes.
+TEST(PlanCacheTest, PairingMatchesTheComparisonSortBijection) {
+  Rng rng(0x9a1);
+  std::vector<std::vector<int64_t>> cases;
+  cases.push_back(std::vector<int64_t>(64, 4096));  // All lengths equal.
+  cases.push_back(std::vector<int64_t>(5, 0));      // All zero: no radix pass.
+  cases.push_back({12345});                         // S = 1.
+  std::vector<int64_t> ties(300), wide(300);
+  for (size_t i = 0; i < ties.size(); ++i) {
+    ties[i] = 64 * (1 + static_cast<int64_t>(rng.NextBounded(3)));
+    wide[i] = 1 + 2 * static_cast<int64_t>(rng.NextBounded(uint64_t{1} << 19));
+  }
+  cases.push_back(ties);
+  // Odd lengths up to 2^20: the key sort needs two 16-bit passes.
+  uint64_t or_acc = 0;
+  int64_t max_len = 0;
+  for (int64_t len : wide) {
+    or_acc |= static_cast<uint64_t>(len);
+    max_len = std::max(max_len, len);
+  }
+  ASSERT_GT(std::bit_width(static_cast<uint64_t>(max_len)) - std::countr_zero(or_acc), 16);
+  cases.push_back(wide);
+  cases.push_back(SampleBatch(256, 0x9a2).seq_lens);
+
+  for (size_t c = 0; c < cases.size(); ++c) {
+    for (uint64_t seed = 0; seed < 4; ++seed) {
+      SCOPED_TRACE(testing::Message() << "case " << c << ", permutation " << seed);
+      Batch cached;
+      cached.seq_lens = cases[c];
+      const Batch request = Permuted(cached, 0x9a3 + seed);
+      std::vector<int> remap;
+      ASSERT_TRUE(PairPermutedSlots(cached.seq_lens, request.seq_lens, &remap));
+      EXPECT_EQ(remap, OracleRemap(cached.seq_lens, request.seq_lens));
+    }
+  }
+
+  // Different multisets, granularities or sizes never pair; neither does a
+  // length outside the key range, on either side, and none of them aborts.
+  std::vector<int> remap;
+  std::vector<int64_t> changed = ties;
+  changed[7] += 64;
+  EXPECT_FALSE(PairPermutedSlots(ties, changed, &remap));
+  std::vector<int64_t> fine = ties;
+  for (int64_t& len : fine) {
+    len += 1;
+  }
+  EXPECT_FALSE(PairPermutedSlots(ties, fine, &remap));
+  EXPECT_FALSE(PairPermutedSlots(ties, std::vector<int64_t>(ties.begin(), ties.end() - 1), &remap));
+  for (const int64_t bad : {int64_t{-1}, int64_t{1} << 43, INT64_MAX}) {
+    std::vector<int64_t> out_of_range = ties;
+    out_of_range[3] = bad;
+    EXPECT_FALSE(PairPermutedSlots(ties, out_of_range, &remap)) << bad;
+    EXPECT_FALSE(PairPermutedSlots(out_of_range, ties, &remap)) << bad;
+    EXPECT_FALSE(PairPermutedSlots(out_of_range, out_of_range, &remap)) << bad;
+  }
+}
+
 TEST(PlanCacheTest, LruEvictsTheColdestEntry) {
   Rig rig;
   PlannerService service;
@@ -319,6 +444,77 @@ TEST(PlanCacheTest, SignatureCollisionIsAMissNotAVerifyFailure) {
   const PlanResponse hit = cache.Plan(rig.Request(other));
   EXPECT_EQ(hit.stats.cache_outcome, CacheOutcome::kHit);
   EXPECT_EQ(hit.digest, miss.digest);
+  EXPECT_EQ(cache.counters().verify_failures, 0u);
+}
+
+// The remap tier's twin of PoisonedEntryIsNeverServed: a permuted request
+// finds the poisoned entry, the certifier rejects the relabelled copy, and
+// the request is replanned — never served the poisoned bytes.
+TEST(PlanCacheTest, PoisonedEntryIsNeverServedOnTheRemapTier) {
+  Rig rig;
+  PlannerService service, fresh_service;
+  PlanCache cache(&service, {.near_match = false});
+  const Batch batch = SampleBatch(256, 0xbad2);
+  const Batch shuffled = Permuted(batch, 0xbad3);
+
+  ASSERT_EQ(cache.Plan(rig.Request(batch)).stats.cache_outcome, CacheOutcome::kMiss);
+  ASSERT_TRUE(cache.PoisonEntryForTest(rig.Request(batch)));
+
+  const PlanResponse replanned = cache.Plan(rig.Request(shuffled));
+  EXPECT_EQ(replanned.stats.cache_outcome, CacheOutcome::kMiss);
+  EXPECT_TRUE(replanned.stats.verified);
+  EXPECT_EQ(cache.counters().verify_failures, 1u);
+  EXPECT_EQ(cache.counters().hits, 0u);
+  EXPECT_EQ(replanned.digest, fresh_service.Plan(rig.Request(shuffled)).digest);
+  PlanVerifyOptions opts;
+  opts.world = rig.cluster.world_size();
+  const PlanVerifyResult verdict = VerifyPlan(*replanned.plan, &shuffled, nullptr, opts);
+  EXPECT_TRUE(verdict.ok()) << verdict.message;
+
+  // The replanned insert restored a healthy entry for the permuted order.
+  EXPECT_EQ(cache.Plan(rig.Request(shuffled)).stats.cache_outcome, CacheOutcome::kHit);
+}
+
+// A collision whose two batches differ in length granularity (multiples of
+// 64 against odd lengths) sorts on different radix digits; the pairing still
+// sees the length mismatch and reports a miss.
+TEST(PlanCacheTest, CollisionAcrossGranularitiesIsAMiss) {
+  Rig rig;
+  PlannerService service;
+  PlanCache cache(&service, {.near_match = false});
+  Batch planted, other;
+  Rng rng(0x6a1);
+  for (int i = 0; i < 128; ++i) {
+    planted.seq_lens.push_back(64 * (1 + static_cast<int64_t>(rng.NextBounded(64))));
+    other.seq_lens.push_back(1 + 2 * static_cast<int64_t>(rng.NextBounded(2048)));
+  }
+  ASSERT_EQ(cache.Plan(rig.Request(planted)).stats.cache_outcome, CacheOutcome::kMiss);
+  ASSERT_TRUE(cache.RekeyEntryForTest(rig.Request(planted), rig.Request(other)));
+
+  EXPECT_FALSE(cache.TryServe(rig.Request(other)).has_value());
+  const PlanResponse miss = cache.Plan(rig.Request(other));
+  EXPECT_EQ(miss.stats.cache_outcome, CacheOutcome::kMiss);
+  EXPECT_TRUE(miss.stats.verified);
+  EXPECT_EQ(cache.counters().hits, 0u);
+  EXPECT_EQ(cache.counters().verify_failures, 0u);
+}
+
+// PlanCache is an in-process API without the daemon's wire bounds: a request
+// colliding with a cached entry while carrying a negative or over-wide length
+// must come back as a miss from the lookup, not abort in the key sort.
+TEST(PlanCacheTest, OutOfRangeCollisionIsAMissNotAnAbort) {
+  Rig rig;
+  PlannerService service;
+  PlanCache cache(&service, {.near_match = false});
+  const Batch planted = SampleBatch(128, 0x0b0);
+  for (const int64_t bad : {int64_t{-64}, int64_t{1} << 43}) {
+    Batch other = Permuted(planted, 0x0b1);
+    other.seq_lens[5] = bad;
+    cache.Plan(rig.Request(planted));
+    ASSERT_TRUE(cache.RekeyEntryForTest(rig.Request(planted), rig.Request(other)));
+    EXPECT_FALSE(cache.TryServe(rig.Request(other)).has_value()) << bad;
+  }
+  EXPECT_EQ(cache.counters().hits, 0u);
   EXPECT_EQ(cache.counters().verify_failures, 0u);
 }
 

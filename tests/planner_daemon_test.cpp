@@ -4,9 +4,9 @@
 // reaping on abrupt disconnect and idle timeout (PlanStats::session_count
 // back to baseline — the leak regression), typed rejection of oversized
 // frames / malformed requests / bad semantics with the connection surviving
-// where the framing allows it, bounded admission (kOverloaded), per-request
-// deadlines (kDeadlineExceeded), graceful drain (kShuttingDown), and
-// session privacy across connections.
+// where the framing allows it, bounded admission (kOverloaded) in FIFO order
+// (the AdmissionGate unit tests), per-request deadlines (kDeadlineExceeded),
+// graceful drain (kShuttingDown), and session privacy across connections.
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
@@ -22,6 +22,7 @@
 #include <fstream>
 #include <functional>
 #include <memory>
+#include <mutex>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -33,6 +34,7 @@
 #include "src/data/datasets.h"
 #include "src/data/stream.h"
 #include "src/model/transformer.h"
+#include "src/net/admission_gate.h"
 #include "src/net/plan_client.h"
 #include "src/net/planner_daemon.h"
 #include "src/obs/trace.h"
@@ -829,6 +831,97 @@ TEST(PlannerDaemonTest, SlowRequestLogCapturesSlowPlans) {
   // Pings are not plan requests: they never enter the latency pipeline.
   ASSERT_TRUE(client.Ping().ok());
   EXPECT_EQ(rig.daemon.slow_log()->observed(), 1u);
+}
+
+constexpr AdmissionGate::Clock::time_point kNoDeadline = AdmissionGate::Clock::time_point::max();
+
+// Spins until `gate` has `n` queued waiters (they enqueue on other threads).
+void AwaitWaiting(const AdmissionGate& gate, int n) {
+  while (gate.waiting() != n) {
+    std::this_thread::yield();
+  }
+}
+
+// One permit, one request queued behind its holder, then a late arrival that
+// races the queued request for the released permit: the queued request is
+// admitted first, every round. With a wake-and-retake gate the late arrival
+// on the releasing thread nearly always wins instead.
+TEST(AdmissionGateTest, QueuedRequestIsAdmittedBeforeALateArrival) {
+  obs::Gauge active, waiting;
+  AdmissionGate gate(/*permits=*/1, /*queue_limit=*/4, &active, &waiting);
+  for (int round = 0; round < 1000; ++round) {
+    ASSERT_EQ(gate.Acquire(kNoDeadline), AdmissionGate::Result::kAdmitted);
+    std::mutex order_mu;
+    std::string order;
+    std::thread queued([&] {
+      EXPECT_EQ(gate.Acquire(kNoDeadline), AdmissionGate::Result::kAdmitted);
+      {
+        std::lock_guard<std::mutex> lock(order_mu);
+        order += 'q';
+      }
+      gate.Release();
+    });
+    AwaitWaiting(gate, 1);
+    gate.Release();
+    ASSERT_EQ(gate.Acquire(kNoDeadline), AdmissionGate::Result::kAdmitted);
+    {
+      std::lock_guard<std::mutex> lock(order_mu);
+      order += 'l';
+    }
+    gate.Release();
+    queued.join();
+    ASSERT_EQ(order, "ql") << "round " << round;
+  }
+  EXPECT_EQ(active.value(), 0);
+  EXPECT_EQ(waiting.value(), 0);
+}
+
+// Deadline exits take their ticket with them: the queue slot frees for the
+// next arrival, and the next release goes to a live waiter.
+TEST(AdmissionGateTest, DeadlineExitLeavesTheQueue) {
+  obs::Gauge active, waiting;
+  AdmissionGate gate(/*permits=*/1, /*queue_limit=*/1, &active, &waiting);
+  ASSERT_EQ(gate.Acquire(kNoDeadline), AdmissionGate::Result::kAdmitted);
+  EXPECT_EQ(gate.Acquire(AdmissionGate::Clock::now() + std::chrono::milliseconds(5)),
+            AdmissionGate::Result::kDeadline);
+  EXPECT_EQ(gate.waiting(), 0);
+  EXPECT_EQ(waiting.value(), 0);
+
+  std::thread queued([&] {
+    EXPECT_EQ(gate.Acquire(kNoDeadline), AdmissionGate::Result::kAdmitted);
+    gate.Release();
+  });
+  AwaitWaiting(gate, 1);
+  // The one queue slot is taken: a further arrival is shed, not queued.
+  EXPECT_EQ(gate.Acquire(kNoDeadline), AdmissionGate::Result::kOverloaded);
+  gate.Release();
+  queued.join();
+  EXPECT_EQ(active.value(), 0);
+  EXPECT_EQ(waiting.value(), 0);
+}
+
+// Shutdown wakes every waiter with kShutdown, empties the queue, and refuses
+// later arrivals; permits already held are released normally.
+TEST(AdmissionGateTest, ShutdownEmptiesTheQueue) {
+  obs::Gauge active, waiting;
+  AdmissionGate gate(/*permits=*/1, /*queue_limit=*/4, &active, &waiting);
+  ASSERT_EQ(gate.Acquire(kNoDeadline), AdmissionGate::Result::kAdmitted);
+  std::vector<std::thread> queued;
+  for (int i = 0; i < 3; ++i) {
+    queued.emplace_back([&] {
+      EXPECT_EQ(gate.Acquire(kNoDeadline), AdmissionGate::Result::kShutdown);
+    });
+  }
+  AwaitWaiting(gate, 3);
+  gate.Shutdown();
+  for (std::thread& thread : queued) {
+    thread.join();
+  }
+  EXPECT_EQ(gate.waiting(), 0);
+  EXPECT_EQ(gate.Acquire(kNoDeadline), AdmissionGate::Result::kShutdown);
+  gate.Release();
+  EXPECT_EQ(active.value(), 0);
+  EXPECT_EQ(waiting.value(), 0);
 }
 
 }  // namespace

@@ -1,10 +1,13 @@
 // Round-batched exact greedy packer — the planner's bulk packing kernel.
 //
-// Both packing loops of the planner (Alg. 1 z01 onto nodes, Alg. 2 z0 onto
-// devices) are the same process: a non-increasing weight stream placed
+// The planner's Alg. 1 z01 packing onto nodes (in the sharded engine and the
+// delta planner's node re-pack) is a non-increasing weight stream placed
 // greedily on the least-loaded bucket, ties broken by lowest index. The
 // LoadTracker heap answers each placement in O(log n), but at S=64k that is
-// still ~6 dependent cache hops per sequence and dominates Plan().
+// still ~6 dependent cache hops per sequence and dominates Plan(). Alg. 2's
+// z0 packing is the same process over only a node's p devices; there a
+// plain linear argmin per item is cheaper than this class's sort and merges,
+// so it does not go through here.
 //
 // This class computes the *identical* placement sequence in bulk. It keeps
 // the packed (load << 20 | index) keys as a sorted array and exploits a

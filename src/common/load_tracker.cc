@@ -14,6 +14,7 @@ void LoadTracker::Reset(int n) {
   // permutation is already a valid heap.
   std::iota(heap_.begin(), heap_.end(), int64_t{0});
   std::iota(pos_.begin(), pos_.end(), 0);
+  popped_ = 0;
   ++ops_;
 }
 
@@ -30,6 +31,7 @@ void LoadTracker::Assign(const std::vector<int64_t>& loads) {
   for (int p = n / 2 - 1; p >= 0; --p) {
     SiftDownBounded(p, heap_[p], n);
   }
+  popped_ = 0;
   ++ops_;
 }
 
@@ -42,30 +44,32 @@ void LoadTracker::Snapshot(std::vector<int64_t>* out) const {
 }
 
 void LoadTracker::k_least(int k, std::vector<int>* out) {
+  pop_least(k, out);
+  for (int i = k - 1; i >= 0; --i) {
+    push_popped((*out)[i], 0);
+  }
+}
+
+void LoadTracker::pop_least(int k, std::vector<int>* out) {
   const int n = size();
-  ZCHECK(k >= 0 && k <= n) << "k=" << k << " n=" << n;
+  ZCHECK(k >= 0 && k <= n && popped_ == 0) << "k=" << k << " n=" << n << " popped=" << popped_;
   out->clear();
   ++ops_;
-  // Pop k minima (ascending (load, index) by construction), then reinsert.
-  // The packed key is a strict total order, so any valid heap shape yields
-  // the same answers afterwards; popped keys are parked in the heap slots
-  // the pops vacate (positions [n-k, n)), so no side storage is needed.
+  // Pop k minima (ascending (load, index) by construction). Popped keys are
+  // parked in the heap slots the pops vacate (positions [n-k, n)), with
+  // pos_ pointing at them, so push_popped needs no side storage.
   for (int i = 0; i < k; ++i) {
     const int64_t top = heap_[0];
     out->push_back(static_cast<int>(top & kIndexMask));
     const int live = n - i - 1;  // Heap size after this pop.
     const int64_t last = heap_[live];
-    heap_[live] = top;  // Park the popped key; reinserted below.
+    heap_[live] = top;
+    pos_[top & kIndexMask] = live;
     if (live > 0) {
       SiftDownBounded(0, last, live);
     }
   }
-  for (int i = k - 1; i >= 0; --i) {
-    // Reinsert parked keys, largest first: each SiftUp treats its position
-    // as the new leaf of the prefix heap growing back to full size.
-    const int live = n - i - 1;
-    SiftUp(live, heap_[live]);
-  }
+  popped_ = k;
 }
 
 }  // namespace zeppelin

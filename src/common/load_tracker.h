@@ -90,9 +90,34 @@ class LoadTracker {
   }
 
   // The k buckets with the smallest (load, index), ascending in that order
-  // (pop k, then reinsert). O(k log n). `out` is overwritten, not reallocated
-  // in steady state.
+  // (pop_least, then push_popped each with delta 0). O(k log n). `out` is
+  // overwritten, not reallocated in steady state.
   void k_least(int k, std::vector<int>* out);
+
+  // Split form of k_least for callers that load the k buckets right away:
+  // pop_least removes the k least-loaded buckets (written to `out` ascending
+  // in (load, index)), and push_popped(i, delta) re-inserts popped bucket `i`
+  // with `delta` added (the load must stay >= 0): one sift per bucket
+  // instead of a re-insert plus an add. Every popped bucket must be pushed
+  // back, in any order, before any other call. The packed key is a strict
+  // total order, so every later answer is the same as after k_least
+  // followed by k adds.
+  void pop_least(int k, std::vector<int>* out);
+  void push_popped(int i, int64_t delta) {
+    const int leaf = size() - popped_;  // Next slot of the regrowing heap.
+    const int parked = pos_[i];
+    ZCHECK(popped_ > 0 && parked >= leaf) << "bucket " << i << " was not popped";
+    const int64_t key = heap_[parked] + (delta << kIndexBits);
+    ZCHECK_GE(key, 0) << "load out of range, bucket=" << i;
+    ++ops_;
+    if (parked != leaf) {
+      // Another parked key holds the leaf slot; move it into ours.
+      heap_[parked] = heap_[leaf];
+      pos_[heap_[parked] & kIndexMask] = parked;
+    }
+    --popped_;
+    SiftUp(leaf, key);
+  }
 
   // State snapshot/restore for planners that keep tracker state across
   // planning calls (the delta planner persists per-node loads between
@@ -155,6 +180,7 @@ class LoadTracker {
 
   std::vector<int64_t> heap_;  // heap_[pos] = (load << kIndexBits) | bucket.
   std::vector<int> pos_;       // pos_[bucket] = heap position.
+  int popped_ = 0;             // Keys parked past the live heap by pop_least.
   int64_t ops_ = 0;
 };
 

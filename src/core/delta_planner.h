@@ -112,6 +112,7 @@ enum class DeltaOutcome : uint8_t {
                       // changed liveness, or a survivor node overloaded).
   kRebasedMigration,  // Dead-node migration exceeded migration_budget.
 };
+inline constexpr int kNumDeltaOutcomes = static_cast<int>(DeltaOutcome::kRebasedMigration) + 1;
 
 const char* DeltaOutcomeName(DeltaOutcome outcome);
 

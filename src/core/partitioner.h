@@ -280,8 +280,8 @@ struct NodeIntraResult {
 // Scratch for the sharded intra-node stage, reused node after node and across
 // Partition() calls.
 struct IntraSlab {
-  GreedyPacker packer;              // z0 device packing.
-  std::vector<int64_t> loads;       // Plain per-device loads for the z1 phase.
+  std::vector<int64_t> loads;       // Per-device loads after the z1 phase.
+  std::vector<int64_t> keys;        // z0 argmin keys: (load << 20) | device.
   std::vector<int64_t> chunk_base;  // Inter-node chunk spreading per device.
 };
 
@@ -292,7 +292,7 @@ struct IntraSlab {
 struct PlannerScratch {
   // Inter-node stage.
   LoadTracker node_loads;            // z2 chunk placement.
-  std::vector<int> least;            // k_least() output.
+  std::vector<int> least;            // pop_least() output.
   std::vector<NodeAssignment> assignments;   // Naive engine's per-node output.
   std::vector<int> placed_node;      // placed_node[i]: node of z01 key i.
   std::vector<std::vector<int>> node_ranks;  // Per node: its global ranks.
@@ -330,7 +330,7 @@ struct PlannerScratch {
 
   // Packer operations of the last Partition() (regression guard: bulk
   // commits keep this near the sequence count instead of S log P).
-  int64_t packer_ops() const { return node_packer.ops() + intra_slab.packer.ops(); }
+  int64_t packer_ops() const { return node_packer.ops(); }
 };
 
 // Runs Alg. 1/2 on a batch for a fixed cluster, producing a PartitionPlan.

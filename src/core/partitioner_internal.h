@@ -71,16 +71,28 @@ inline void RecordChunkAggregate(int node, int64_t chunk, int p, std::vector<int
 // row width (gpus per node); m is the divisor the chunks were recorded with —
 // p for the sharded engine, the alive device count for the delta re-pack.
 // Every intra-stage consumer must expand identically.
+//
+// Division-free: for a fixed r < m the bracket is 1 exactly when the running
+// residue (d+1)r mod m wraps past m, so one accumulator per non-empty bucket
+// replaces the two divisions per (d, r).
 inline void ExpandChunkBase(const std::vector<int64_t>& whole, const std::vector<int64_t>& rem,
                             int node, int stride, int m, std::vector<int64_t>* out) {
-  out->resize(m);
+  out->assign(m, whole[node]);
   const int64_t* row = rem.data() + static_cast<size_t>(node) * stride;
-  for (int d = 0; d < m; ++d) {
-    int64_t share = whole[node];
-    for (int r = 1; r < m; ++r) {
-      share += row[r] * ((d + 1) * r / m - d * r / m);
+  int64_t* share = out->data();
+  for (int r = 1; r < m; ++r) {
+    const int64_t chunks = row[r];
+    if (chunks == 0) {
+      continue;
     }
-    (*out)[d] = share;
+    int residue = 0;
+    for (int d = 0; d < m; ++d) {
+      residue += r;
+      if (residue >= m) {
+        residue -= m;
+        share[d] += chunks;
+      }
+    }
   }
 }
 
@@ -88,13 +100,25 @@ inline void ExpandChunkBase(const std::vector<int64_t>& whole, const std::vector
 // `fragments` fragments of a length-`len` sequence placed round-robin from
 // `cursor`. The edge arithmetic len*(f+1)/F - len*f/F is the emission-time
 // split every engine (and the delta planner's load roll-back) must mirror.
+// With len = q*F + r the share of fragment f is q plus 1 exactly when the
+// running residue (f+1)r mod F wraps, so one division serves all fragments.
 template <typename Fn>
 inline void ForEachFragment(int64_t len, int fragments, int cursor, int p, Fn&& fn) {
-  int64_t prev_edge = 0;
+  const int64_t whole = len / fragments;
+  const int64_t rest = len - whole * fragments;
+  int64_t residue = 0;
+  int device = cursor % p;
   for (int f = 0; f < fragments; ++f) {
-    const int64_t edge = len * (f + 1) / fragments;
-    fn(f, (cursor + f) % p, edge - prev_edge);
-    prev_edge = edge;
+    residue += rest;
+    int64_t share = whole;
+    if (residue >= fragments) {
+      residue -= fragments;
+      ++share;
+    }
+    fn(f, device, share);
+    if (++device == p) {
+      device = 0;
+    }
   }
 }
 

@@ -100,6 +100,10 @@ int64_t BuildSortedKeys(const std::vector<int64_t>& lens, std::vector<uint64_t>*
 
 namespace {
 
+// z0 argmin keys pack (load << kIdxBits) | device; a load below this bound
+// keeps the shifted key clear of the sign bit.
+constexpr int64_t kMaxDeviceLoad = int64_t{1} << (62 - kIdxBits);
+
 // First position in the sorted key array whose length drops below
 // `threshold` — the zone boundary index. O(log n).
 int KeyBoundary(const std::vector<uint64_t>& keys, int64_t threshold) {
@@ -228,7 +232,9 @@ void SequencePartitioner::PartitionInterNodeSharded(const Batch& batch, Partitio
         continue;
       }
 
-      s->node_loads.k_least(k, &s->least);
+      // The k least-loaded nodes leave the heap and go back once each, with
+      // their chunk added.
+      s->node_loads.pop_least(k, &s->least);
       std::sort(s->least.begin(), s->least.end());  // Keep ring order node-ascending.
       int* out = EmitRing(&plan->inter_node, &s->inter_ring_count, &plan->rank_arena,
                           &s->arena_count, id, len, Zone::kInterNode, k * p);
@@ -244,7 +250,7 @@ void SequencePartitioner::PartitionInterNodeSharded(const Batch& batch, Partitio
         const int64_t chunk = edge - prev_edge;
         prev_edge = edge;
         record_chunk(s->least[c], chunk);
-        s->node_loads.add(s->least[c], chunk);
+        s->node_loads.push_popped(s->least[c], chunk);
       }
     }
 
@@ -330,6 +336,7 @@ void SequencePartitioner::PartitionIntraNodeSharded(int node, PlannerScratch* s)
   // Inter-node chunk spreading (lines 4-6) from the aggregates the inter
   // stage recorded; zone-independent, so hoisted out of the restart loop.
   ExpandChunkBase(s->node_chunk_whole, s->node_chunk_rem, node, p, p, &slab.chunk_base);
+  slab.keys.resize(p);
 
   int64_t s0 = capacity;  // Alg. 2 line 1.
   if (options_.max_local_threshold > 0) {
@@ -363,28 +370,47 @@ void SequencePartitioner::PartitionIntraNodeSharded(int node, PlannerScratch* s)
           slab.loads[device] += len;
         });
 
-    // Round-batched z0 packing onto least-loaded devices (lines 13-21).
-    slab.packer.Assign(slab.loads);
-    const uint64_t* z0 = items.data() + boundary;
-    const int count = n - boundary;
-    const int packed = slab.packer.Pack(
-        count, capacity, [z0](int i) { return KeyLen(z0[i]); },
-        [&](int i, int device, int64_t len) {
-          res.locals.push_back({KeyId(z0[i]), len, rank_base + device});
-        });
-    if (packed == count) {
+    // z0 packing onto least-loaded devices (lines 13-21): a linear argmin
+    // per sequence over the node's p devices. Device keys (load << kIdxBits
+    // | device) make the (load, index) order a plain minimum, which compiles
+    // branch-free. If the argmin does not fit, no device does, so the pass
+    // stops there.
+    int64_t* keys = slab.keys.data();
+    for (int d = 0; d < p; ++d) {
+      ZCHECK_LT(slab.loads[d], kMaxDeviceLoad) << "device load out of range";
+      keys[d] = (slab.loads[d] << kIdxBits) | d;
+    }
+    int overflow = -1;
+    for (int i = boundary; i < n; ++i) {
+      const int64_t len = KeyLen(items[i]);
+      int64_t least = keys[0];
+      for (int d = 1; d < p; ++d) {
+        least = std::min(least, keys[d]);
+      }
+      if ((least >> kIdxBits) + len > capacity) {
+        overflow = i;
+        break;
+      }
+      const int device = static_cast<int>(least & kIdxMask);
+      keys[device] = least + (len << kIdxBits);
+      res.locals.push_back({KeyId(items[i]), len, rank_base + device});
+    }
+    if (overflow < 0) {
       break;
     }
     // Shrink s0 to max(z0) = the overflowing length; promoted sequences form
     // a contiguous block, so the boundary just advances.
     boundary = AdvanceZoneBoundary(
-        n, boundary + packed, [&](int j) { return KeyLen(items[j]); }, &s0);
+        n, overflow, [&](int j) { return KeyLen(items[j]); }, &s0);
     // The boundary strictly advances on every restart, so the chain is
     // bounded by the node's sequence count.
     ZCHECK_LE(++restarts, n) << "intra-node restart chain exceeded its bound";
   }
 
-  slab.packer.Loads(&res.device_loads);
+  res.device_loads.resize(p);
+  for (int d = 0; d < p; ++d) {
+    res.device_loads[d] = slab.keys[d] >> kIdxBits;
+  }
   res.threshold_s0 = s0;
 }
 
@@ -396,7 +422,6 @@ void SequencePartitioner::PartitionSharded(const Batch& batch, PlannerScratch* s
   const int p = cluster_.gpus_per_node;
 
   scratch->node_packer.ResetOps();
-  scratch->intra_slab.packer.ResetOps();
   scratch->node_items.resize(num_nodes);
   scratch->intra_results.resize(num_nodes);
 

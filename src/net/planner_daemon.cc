@@ -300,6 +300,10 @@ PlannerDaemon::PlannerDaemon(const TransformerConfig& model, const ClusterSpec& 
   c_sessions_reaped_ = metrics_.GetCounter("daemon.sessions_reaped");
   c_verify_failures_ = metrics_.GetCounter("daemon.verify_failures");
   c_stats_requests_ = metrics_.GetCounter("daemon.stats_requests");
+  for (int i = 0; i < kNumDeltaOutcomes; ++i) {
+    c_session_outcome_[i] = metrics_.GetCounter(
+        std::string("daemon.session_outcome.") + DeltaOutcomeName(static_cast<DeltaOutcome>(i)));
+  }
   g_queue_depth_ = metrics_.GetGauge("daemon.queue_depth");
   g_active_plans_ = metrics_.GetGauge("daemon.active_plans");
   g_connections_ = metrics_.GetGauge("daemon.connections");
@@ -431,6 +435,9 @@ DaemonCounters PlannerDaemon::counters() const {
   out.bad_requests = c_bad_requests_->value();
   out.sessions_reaped = c_sessions_reaped_->value();
   out.verify_failures = c_verify_failures_->value();
+  for (int i = 0; i < kNumDeltaOutcomes; ++i) {
+    out.session_outcomes[i] = c_session_outcome_[i]->value();
+  }
   if (cache_ != nullptr) {
     const PlanCacheCounters cache = cache_->counters();
     out.cache_hits = cache.hits;
@@ -850,6 +857,7 @@ void PlannerDaemon::HandlePlan(Connection& conn, WireRequest& request,
   gate_->Release();
 
   if (is_session) {
+    c_session_outcome_[static_cast<int>(planned.stats.delta_outcome)]->Inc();
     // Advance the mirror exactly as the service advanced: batch tracked,
     // topology folded in (the fabric state advances even on fallback).
     Connection::SessionMirror& m = conn.sessions[request.stream_id];

@@ -43,6 +43,7 @@
 #ifndef SRC_NET_PLANNER_DAEMON_H_
 #define SRC_NET_PLANNER_DAEMON_H_
 
+#include <array>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
@@ -135,6 +136,8 @@ struct DaemonCounters {
   uint64_t cache_evictions = 0;
   // Plans refused by verify-before-serve (cache-detected + daemon-detected).
   uint64_t verify_failures = 0;
+  // Session plans per DeltaOutcome, indexed by its value.
+  std::array<uint64_t, kNumDeltaOutcomes> session_outcomes{};
 };
 
 class PlannerDaemon {
@@ -249,6 +252,8 @@ class PlannerDaemon {
   obs::Counter* c_sessions_reaped_ = nullptr;
   obs::Counter* c_verify_failures_ = nullptr;  // Daemon-detected only.
   obs::Counter* c_stats_requests_ = nullptr;
+  // daemon.session_outcome.<DeltaOutcomeName>, indexed by DeltaOutcome.
+  std::array<obs::Counter*, kNumDeltaOutcomes> c_session_outcome_{};
   obs::Gauge* g_queue_depth_ = nullptr;   // Admission waiting room occupancy.
   obs::Gauge* g_active_plans_ = nullptr;  // Admission permits in use.
   obs::Gauge* g_connections_ = nullptr;

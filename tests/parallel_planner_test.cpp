@@ -4,8 +4,9 @@
 // The contract (partitioner.h): plans are byte-identical between the naive
 // reference and the sharded production engine — including batches that force
 // overflow restarts and degenerate clusters, and on repeated plans through
-// one reused scratch. These tests pin the contract and the GreedyPacker's
-// placement-for-placement equivalence with LoadTracker::pack_min.
+// one reused scratch. These tests pin the contract, the GreedyPacker's
+// placement-for-placement equivalence with LoadTracker::pack_min, and the
+// division-free Alg. 2 helpers against the division formulas they replace.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -16,9 +17,15 @@
 #include "src/common/load_tracker.h"
 #include "src/common/rng.h"
 #include "src/core/partitioner.h"
+#include "src/core/partitioner_internal.h"
+#include "src/core/plan_service.h"
 #include "src/data/datasets.h"
+#include "src/data/mixture.h"
 #include "src/data/sampler.h"
+#include "src/model/cost_model.h"
+#include "src/model/transformer.h"
 #include "src/topology/cluster.h"
+#include "src/topology/path.h"
 
 namespace zeppelin {
 namespace {
@@ -158,6 +165,128 @@ TEST(GreedyPackerTest, BulkCommitsKeepOpsNearItemCount) {
       << "round batching degraded to per-item work";
 }
 
+// --- Division-free Alg. 2 helpers vs their division formulas -----------------
+
+// The chunk spreading as it was written before it went division-free: the
+// share of a chunk q*m + r on device d is q + floor((d+1)r/m) - floor(dr/m).
+std::vector<int64_t> DivisionChunkBase(const std::vector<int64_t>& whole,
+                                       const std::vector<int64_t>& rem, int node, int stride,
+                                       int m) {
+  std::vector<int64_t> out(m);
+  const int64_t* row = rem.data() + static_cast<size_t>(node) * stride;
+  for (int d = 0; d < m; ++d) {
+    int64_t share = whole[node];
+    for (int r = 1; r < m; ++r) {
+      share += row[r] * ((d + 1) * r / m - d * r / m);
+    }
+    out[d] = share;
+  }
+  return out;
+}
+
+// Every divisor m in 1..16 at strides from m up (the delta re-pack expands
+// m alive devices out of rows p wide), on empty, sparse, dense and
+// large-count remainder rows, on a node past the first so the row offset
+// counts too.
+TEST(ChunkSpreadTest, ExpandChunkBaseMatchesTheDivisionFormula) {
+  Rng rng(0xc4u);
+  std::vector<int64_t> out;
+  for (int m = 1; m <= 16; ++m) {
+    for (int stride : {m, m + 1, 16, 24}) {
+      if (stride < m) {
+        continue;
+      }
+      for (int shape = 0; shape < 4; ++shape) {
+        for (int trial = 0; trial < 8; ++trial) {
+          const int nodes = 3;
+          const int node = 1 + static_cast<int>(rng.NextBounded(nodes - 1));
+          std::vector<int64_t> whole(nodes);
+          std::vector<int64_t> rem(static_cast<size_t>(nodes) * stride, 0);
+          for (int64_t& w : whole) {
+            w = static_cast<int64_t>(rng.NextBounded(1 << 20));
+          }
+          int64_t* row = rem.data() + static_cast<size_t>(node) * stride;
+          if (shape == 1 && m > 1) {  // Sparse: one non-empty bucket.
+            row[1 + rng.NextBounded(m - 1)] = 1 + static_cast<int64_t>(rng.NextBounded(4));
+          } else if (shape == 2) {  // Dense: every bucket, small counts.
+            for (int r = 0; r < m; ++r) {
+              row[r] = 1 + static_cast<int64_t>(rng.NextBounded(64));
+            }
+          } else if (shape == 3) {  // Large counts.
+            for (int r = 0; r < m; ++r) {
+              row[r] = static_cast<int64_t>(rng.NextBounded(uint64_t{1} << 40));
+            }
+          }
+          // Neighbouring rows must not leak into this one.
+          for (int r = 0; r < stride; ++r) {
+            rem[static_cast<size_t>(node - 1) * stride + r] = 1000 + r;
+          }
+          planner_internal::ExpandChunkBase(whole, rem, node, stride, m, &out);
+          ASSERT_EQ(out, DivisionChunkBase(whole, rem, node, stride, m))
+              << "m=" << m << " stride=" << stride << " shape=" << shape << " trial=" << trial;
+        }
+      }
+    }
+  }
+}
+
+// Fragment shares against len*(f+1)/F - len*f/F and devices against
+// (cursor + f) % p, for every fragment count and cursor up to p = 16.
+TEST(ChunkSpreadTest, ForEachFragmentMatchesTheDivisionFormula) {
+  const int64_t lens[] = {0, 1, 7, 63, 64, 1000, 4097, 65536 + 13, (int64_t{1} << 43) - 1};
+  for (int p = 1; p <= 16; ++p) {
+    for (int fragments = 1; fragments <= p; ++fragments) {
+      for (int cursor = 0; cursor < p; ++cursor) {
+        for (int64_t len : lens) {
+          int calls = 0;
+          planner_internal::ForEachFragment(
+              len, fragments, cursor, p, [&](int f, int device, int64_t share) {
+                ASSERT_EQ(f, calls);
+                EXPECT_EQ(device, (cursor + f) % p);
+                EXPECT_EQ(share, len * (f + 1) / fragments - len * f / fragments)
+                    << "len=" << len << " F=" << fragments << " f=" << f;
+                ++calls;
+              });
+          EXPECT_EQ(calls, fragments);
+        }
+      }
+    }
+  }
+}
+
+// pop_least + push_popped(i, delta) must leave the tracker answering exactly
+// as k_least followed by add(i, delta) on each of the k buckets would.
+TEST(LoadTrackerTest, PopLeastAndPushPoppedMatchKLeastPlusAdds) {
+  Rng rng(0x9e3u);
+  for (int n : {1, 2, 7, 8, 64}) {
+    LoadTracker fused(n);
+    LoadTracker split(n);
+    std::vector<int> got;
+    std::vector<int> want;
+    for (int step = 0; step < 3000; ++step) {
+      const int k = 1 + static_cast<int>(rng.NextBounded(n));
+      fused.pop_least(k, &got);
+      split.k_least(k, &want);
+      ASSERT_EQ(got, want) << "n=" << n << " step=" << step;
+      // Push back in a scrambled order; some deltas are zero.
+      std::vector<int> order = got;
+      for (int i = k - 1; i > 0; --i) {
+        std::swap(order[i], order[rng.NextBounded(i + 1)]);
+      }
+      for (int bucket : order) {
+        const int64_t delta =
+            rng.NextBounded(4) == 0 ? 0 : static_cast<int64_t>(rng.NextBounded(5000));
+        fused.push_popped(bucket, delta);
+        split.add(bucket, delta);
+      }
+      ASSERT_EQ(fused.argmin(), split.argmin()) << "n=" << n << " step=" << step;
+      for (int b = 0; b < n; ++b) {
+        ASSERT_EQ(fused.load(b), split.load(b)) << "n=" << n << " step=" << step;
+      }
+    }
+  }
+}
+
 // --- Plan equivalence across engines ------------------------------------------
 
 void ExpectPlansIdentical(const PartitionPlan& got, const PartitionPlan& want,
@@ -272,6 +401,45 @@ TEST(ParallelPlannerTest, IdenticalOnEdgeBatches) {
   // Duplicates around the promotion boundary.
   CheckAllEngines(cluster, make({8192, 8192, 8192, 4096, 4096, 4096, 4096, 64, 64, 64}), 4096,
                   "duplicates");
+}
+
+// The serve regime (Llama 3B on Cluster A x 64 = 512 GPUs, pretrain
+// mixture, 16 Ki tokens/GPU, the service's derived capacity): larger than
+// any pinned corpus row, and tight enough that Alg. 1 refines s1 and Alg. 2
+// restarts. The production plan through PlannerService and the sharded
+// engine straight through SequencePartitioner must both equal the oracle's.
+TEST(ParallelPlannerTest, IdenticalInTheServeRegime) {
+  const ClusterSpec cluster = MakeClusterA(64);
+  const int world = cluster.num_nodes * cluster.gpus_per_node;
+  const CostModel cost_model(MakeLlama3B(), cluster);
+  const FabricResources fabric(cluster);
+  PlannerService service;
+  BatchSampler sampler(MakePretrainMixture(), static_cast<int64_t>(world) * 16384, 1);
+  int refined = 0;
+  int restarted = 0;
+  for (int i = 0; i < 32; ++i) {
+    const Batch batch = sampler.NextBatch();
+    PlanRequest request;
+    request.batch = &batch;
+    request.cost_model = &cost_model;
+    request.fabric = &fabric;
+    const PlanResponse served = service.Plan(request);
+    const int64_t capacity = served.stats.token_capacity;
+    const std::string context = "batch " + std::to_string(i);
+
+    const PartitionPlan naive_plan =
+        SequencePartitioner(cluster, {.token_capacity = capacity, .fast_path = false})
+            .Partition(batch);
+    ExpectPlansIdentical(*served.plan, naive_plan, context + " [service]");
+    CheckAllEngines(cluster, batch, capacity, context);
+
+    refined += naive_plan.threshold_s1 < capacity * cluster.gpus_per_node ? 1 : 0;
+    for (int64_t s0 : naive_plan.threshold_s0) {
+      restarted += s0 < capacity ? 1 : 0;
+    }
+  }
+  EXPECT_GT(refined, 0) << "no Alg. 1 refinement in the serve regime";
+  EXPECT_GT(restarted, 0) << "no Alg. 2 restart in the serve regime";
 }
 
 // The sharded engine must route its packing through GreedyPacker in bulk:

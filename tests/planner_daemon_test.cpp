@@ -15,6 +15,7 @@
 #include <sys/time.h>
 #include <unistd.h>
 
+#include <array>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
@@ -734,6 +735,46 @@ TEST(PlannerDaemonTest, StatsRequestUnderLoad) {
             std::string::npos)
       << json;
   EXPECT_GE(rig.daemon.counters().requests_ok, counters.requests_ok);
+}
+
+// Every session plan lands in daemon.session_outcome.<DeltaOutcomeName>: the
+// typed counters and the kStats document agree with the outcomes the
+// responses reported, one applied patch and one rebase at least.
+TEST(PlannerDaemonTest, SessionOutcomesAreCounted) {
+  DaemonRig rig;
+  PlanClient client = rig.Client();
+  WorkloadStream stream(DatasetByName("github"), SampleBatch(1024, 21),
+                        StreamOptions{.churn_fraction = 0.01}, 7);
+  std::array<uint64_t, kNumDeltaOutcomes> seen{};
+  for (int it = 0; it <= 20 && seen[static_cast<int>(DeltaOutcome::kApplied)] == 0; ++it) {
+    WireRequest request;
+    request.stream_id = "counted";
+    if (it > 0) {
+      request.delta = stream.Next();
+    }
+    request.batch = stream.batch();
+    const PlanClientResult result = client.Plan(std::move(request));
+    ASSERT_TRUE(result.ok()) << "iteration " << it << ": " << result.message;
+    ++seen[static_cast<int>(result.stats.delta_outcome)];
+  }
+  EXPECT_EQ(seen[static_cast<int>(DeltaOutcome::kRebasedNoBase)], 1u);
+  ASSERT_GE(seen[static_cast<int>(DeltaOutcome::kApplied)], 1u);
+
+  // Stateless plans are not session plans.
+  WireRequest stateless;
+  stateless.batch = SampleBatch(256, 22);
+  ASSERT_TRUE(client.Plan(std::move(stateless)).ok());
+
+  EXPECT_EQ(rig.daemon.counters().session_outcomes, seen);
+  const PlanClientResult stats = client.Stats();
+  ASSERT_TRUE(stats.ok()) << stats.message;
+  for (int i = 0; i < kNumDeltaOutcomes; ++i) {
+    const std::string entry = std::string("\"daemon.session_outcome.") +
+                              DeltaOutcomeName(static_cast<DeltaOutcome>(i)) +
+                              "\":" + std::to_string(seen[i]);
+    EXPECT_NE(stats.stats_json.find(entry), std::string::npos) << entry << "\n"
+                                                               << stats.stats_json;
+  }
 }
 
 TEST(PlannerDaemonTest, StageBreakdownOnWireAndZeroedOnCacheHit) {
